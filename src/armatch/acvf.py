@@ -19,9 +19,6 @@ from .errors import InsufficientLags, NonStationary, SingularToeplitz
 # Toeplitz matrix is treated as singular.
 SINGULARITY_FLOOR = 1e-12
 
-# Maximum order probed by the positive-semidefiniteness check on construction.
-_PSD_CHECK_MAX = 12
-
 
 @dataclass(frozen=True)
 class AcvfSeq:
@@ -40,12 +37,12 @@ class AcvfSeq:
         if np.any(np.abs(g[1:]) > g[0] * (1.0 + 1e-12)):
             raise ValueError("|gamma(k)| must not exceed gamma(0)")
         object.__setattr__(self, "gamma", g)
-        # Leading Toeplitz minors must be PSD: run the variance recursion and
-        # require nonnegative prediction-error variances (small slack for
-        # roundoff).
+        # Leading Toeplitz minors of every order must be PSD: run the variance
+        # recursion and require nonnegative prediction-error variances (small
+        # slack for roundoff).
         v = g[0]
         a = np.zeros(0)
-        for j in range(1, min(self.max_lag, _PSD_CHECK_MAX - 1) + 1):
+        for j in range(1, self.max_lag + 1):
             if v <= 0.0:
                 break
             r = (g[j] - a @ g[j - 1:0:-1]) / v if j > 1 else g[1] / v

@@ -19,6 +19,7 @@ from .errors import ArMatchError
 from .estimator import fit_match
 from .selection import aic_baseline, select_order
 from .simulation import (
+    REPORT_COLUMNS,
     EstimatorSpec,
     ExperimentPlan,
     SelectionSettings,
@@ -27,8 +28,6 @@ from .simulation import (
     simulate_arma,
     simulate_tar,
 )
-
-REPORT_COLUMNS = ["replicate", "estimator", "p", "m", "score", "converged", "chosen_p"]
 
 
 class UsageError(Exception):

@@ -7,7 +7,7 @@ conditional-least-squares baseline, which feature matching reproduces at
 m = 1; ``fit_ideal`` minimizes the population criterion under a known truth.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -15,7 +15,16 @@ from scipy.optimize import minimize
 from .acvf import ArParams, ar_to_pacf, levinson_solve, pacf_to_ar
 from .companion import ar_spectral_radius
 from .errors import NoConvergence, SingularDesign, TooShort
-from .loss import _check_length, _q_impl, empirical_q, lag_matrix, population_q
+from .loss import (
+    _check_length,
+    _empirical_moments,
+    _moments_q,
+    _population_moments,
+    _q_impl,
+    empirical_q,
+    lag_matrix,
+    population_q,
+)
 
 __all__ = ["FitOptions", "FitResult", "fit_ols", "fit_match", "fit_ideal"]
 
@@ -109,31 +118,46 @@ def _phi_to_s(phi):
     return np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
 
 
-def _minimize_reparam(objective, s0_list, opts):
-    """Minimize objective(s) -> (value, grad or None) over the starts.
+def _check_orders(p, m):
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
 
-    Quasi-Newton (BFGS) on the analytic gradient when provided, with a
-    Nelder-Mead polish whenever the gradient criterion is not met.
+
+def _moments_objective(moments, m):
+    """objective(s) -> (value, gradient) of the moment-form criterion in the
+    unconstrained coordinates s -> r = tanh(s) -> phi."""
+
+    def objective(s):
+        r = np.tanh(s)
+        phi, J = _pacf_to_ar_with_jac(r)
+        q, g_phi = _moments_q(*moments, phi, m, want_grad=True)
+        return q, (J.T @ g_phi) * (1.0 - r * r)
+
+    return objective
+
+
+def _minimize_reparam(objective, s0_list, opts):
+    """Minimize objective(s) -> (value, grad) over the starts.
+
+    Quasi-Newton (BFGS) on the analytic gradient, with a Nelder-Mead
+    polish whenever the gradient criterion is not met.
     Returns (best_s, best_q, grad_inf, iterations, converged).
     """
     best = None
     total_iter = 0
-    has_grad = objective(s0_list[0])[1] is not None
     for s0 in s0_list:
-        def fun(s):
-            v, g = objective(s)
-            return (v, g) if g is not None else v
-
         res = minimize(
-            fun,
+            objective,
             s0,
             method="BFGS",
-            jac=has_grad or None,
+            jac=True,
             options={"maxiter": opts.max_iter, "gtol": opts.grad_tol},
         )
         total_iter += int(res.nit)
         q, g = objective(res.x)
-        ginf = float(np.max(np.abs(g))) if g is not None else float(np.max(np.abs(res.jac)))
+        ginf = float(np.max(np.abs(g)))
         if ginf >= opts.grad_tol * max(1.0, q):
             # Gradient path stalled; polish with Nelder-Mead.
             nm = minimize(
@@ -151,7 +175,7 @@ def _minimize_reparam(objective, s0_list, opts):
                 q2, g2 = objective(nm.x)
                 res_x = nm.x
                 q = q2
-                ginf = float(np.max(np.abs(g2))) if g2 is not None else ginf
+                ginf = float(np.max(np.abs(g2)))
             else:
                 res_x = res.x
         else:
@@ -170,6 +194,7 @@ def fit_match(series, p, m, opts=None):
     copies.  Never raises on a hard instance: if no start converges the
     best point found is returned with ``converged=False``.
     """
+    _check_orders(p, m)
     opts = opts or FitOptions()
     y = np.asarray(series, dtype=float)
     n = y.shape[0]
@@ -202,12 +227,7 @@ def fit_match(series, p, m, opts=None):
                 grad_norm=float(np.max(np.abs(g))),
             )
 
-    def objective(s):
-        r = np.tanh(s)
-        phi, J = _pacf_to_ar_with_jac(r)
-        q, g_phi = _q_impl(y, X, phi, m, want_grad=True)
-        return q, (J.T @ g_phi) * (1.0 - r * r)
-
+    objective = _moments_objective(_empirical_moments(y, X, p, m), m)
     try:
         phi0 = fit_ols(y, p).phi
     except (SingularDesign, TooShort):
@@ -234,31 +254,14 @@ def fit_ideal(truth, p, m, opts=None):
     """Minimize the population criterion under a known truth.
 
     Returns ``(model, q_star)`` where model.sigma2 is the attained one-step
-    population mean squared error.  The gradient is taken by central finite
-    differences (the population loss is cheap to evaluate).
+    population mean squared error.  The population moments are built once
+    per fit, and the optimizer runs on the criterion's analytic gradient.
     """
+    _check_orders(p, m)
     opts = opts or FitOptions()
     if p == 0:
         return ArParams(np.zeros(0), float(truth.gamma[0])), float(truth.gamma[0])
-    if truth.max_lag < p + m - 1:
-        # Delegate the error message to population_q's check.
-        population_q(truth, ArParams(np.zeros(p), 1.0), p, m)
-
-    def value(s):
-        phi = pacf_to_ar(np.tanh(s))
-        return population_q(truth, ArParams(phi, 1.0), p, m)
-
-    h = 1e-6
-
-    def objective(s):
-        v = value(s)
-        g = np.empty_like(s)
-        for i in range(s.shape[0]):
-            e = np.zeros_like(s)
-            e[i] = h
-            g[i] = (value(s + e) - value(s - e)) / (2.0 * h)
-        return v, g
-
+    objective = _moments_objective(_population_moments(truth.gamma, p, m), m)
     phi0, _, _ = levinson_solve(truth, p)
     s0 = _phi_to_s(phi0)
     starts = [s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]]

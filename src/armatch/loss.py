@@ -1,14 +1,25 @@
 """Multi-step prediction-error criteria.
 
-``empirical_q`` averages squared 1..m-step-ahead prediction errors of an
-AR(p) model over an observed series; ``population_q`` is its expectation
-under a known stationary truth.  Series are treated as mean-zero: nothing
-here ever centers the data.
+Both criteria are one quadratic form in the model-implied k-step
+predictors alpha_k (the first row of C(phi)^k):
+
+    Q = (1/m) sum_{k=1..m} [s_k - 2 alpha_k' c_k + alpha_k' G_k alpha_k].
+
+They differ only in where (s_k, c_k, G_k) come from.  The empirical
+criterion takes them from the data: the mean square of the k-step targets,
+their mean cross-products with the lag window and the window's mean Gram
+matrix, each over the n - k - p + 1 usable rows.  The population criterion
+(``population_q``) is its expectation under a known stationary truth:
+s_k = gamma(0), c_k = (gamma(k), ..., gamma(k+p-1)) and
+G_k = Toeplitz(gamma(0..p-1)).  ``_moments_q`` evaluates the form and its
+gradient in phi for either source in O(m p^2), independent of the series
+length; the fits optimize through it.  ``empirical_q`` instead sums the
+residuals directly, which stays accurate when Q is far below s_k.  Series
+are treated as mean-zero: nothing here ever centers the data.
 """
 
 import numpy as np
 
-from .companion import companion_matrix
 from .errors import InsufficientLags, NonStationary, TooShort
 
 __all__ = ["empirical_q", "empirical_q_gradient", "population_q", "lag_matrix"]
@@ -34,37 +45,109 @@ def _check_length(n, p, m):
         )
 
 
-def _companion_powers(phi, m):
-    """List of companion powers C^0..C^m."""
-    C = companion_matrix(phi)
-    powers = [np.eye(phi.shape[0])]
-    for _ in range(m):
-        powers.append(powers[-1] @ C)
-    return powers
+def _predictors(phi, m):
+    """Rows alpha_0..alpha_m, alpha_k = first row of C(phi)^k.
+
+    One companion step maps a row a to a[0] * phi + (a[1:], 0), so the
+    table costs O(m p).  Column 0 holds (C^k)[0, 0].
+    """
+    p = phi.shape[0]
+    A = np.zeros((m + 1, p))
+    A[0, 0] = 1.0
+    for k in range(1, m + 1):
+        A[k, :-1] = A[k - 1, 1:]
+        A[k] += A[k - 1, 0] * phi
+    return A
+
+
+def _adjoint_grad(phi, A, W):
+    """sum_k W[k-1]' d(alpha_k)/d(phi) for the predictor table A.
+
+    d(alpha_k)/d(phi_j) = sum_{i<k} (C^i)[0, 0] (C^{k-1-i})[j, :], so with
+    the backward recursion S_i = w_i + C S_{i+1} (S_{m+1} = 0) the sum is
+    sum_{i=1..m} (C^{i-1})[0, 0] S_i, at O(m p) cost.
+    """
+    m, p = W.shape
+    S = np.zeros(p)
+    grad = np.zeros(p)
+    for i in range(m, 0, -1):
+        head = phi @ S
+        S[1:] = S[:-1]
+        S[0] = head
+        S += W[i - 1]
+        grad += A[i - 1, 0] * S
+    return grad
+
+
+def _moments_q(s, c, G, phi, m, want_grad):
+    """The criterion (1/m) sum_k [s_k - 2 alpha_k' c_k + alpha_k' G_k alpha_k]
+    and, when requested, its gradient in phi.
+
+    ``s`` has shape (m,), ``c`` (m, p) and ``G`` (m, p, p), or (p, p) when
+    one matrix serves every horizon.
+    """
+    alpha = _predictors(phi, m)
+    Ga = np.matmul(G, alpha[1:, :, None])[..., 0]
+    q = float(np.sum(s) + np.sum(alpha[1:] * (Ga - 2.0 * c))) / m
+    if not want_grad:
+        return q, None
+    return q, _adjoint_grad(phi, alpha, (2.0 / m) * (Ga - c))
+
+
+def _population_moments(gamma, p, m):
+    """(s, c, G) of the population criterion from gamma(0..p+m-1)."""
+    if gamma.shape[0] < p + m:
+        raise InsufficientLags(
+            f"need gamma up to lag {p + m - 1}, have {gamma.shape[0] - 1}"
+        )
+    lags = np.arange(p)
+    s = np.full(m, gamma[0])
+    c = gamma[np.arange(1, m + 1)[:, None] + lags]
+    G = gamma[np.abs(lags[:, None] - lags)]
+    return s, c, G
+
+
+def _empirical_moments(y, X, p, m):
+    """(s, c, G) of the empirical criterion, each averaged over the
+    n - k - p + 1 rows of horizon k.
+
+    The horizon-k window is the horizon-(k+1) window plus one row, so the
+    Gram matrices accumulate from the shortest window by rank-one updates.
+    """
+    n = y.shape[0]
+    rows = n - p + 1 - np.arange(1, m + 1)
+    G = np.empty((m, p, p))
+    Xm = X[: rows[-1]]
+    G[-1] = Xm.T @ Xm
+    for k in range(m - 1, 0, -1):
+        x = X[rows[k]]
+        G[k - 1] = G[k] + np.outer(x, x)
+    s = np.empty(m)
+    c = np.empty((m, p))
+    for k in range(1, m + 1):
+        target = y[p + k - 1:]
+        s[k - 1] = target @ target
+        c[k - 1] = X[: rows[k - 1]].T @ target
+    return s / rows, c / rows[:, None], G / rows[:, None, None]
 
 
 def _q_impl(y, X, phi, m, want_grad):
-    """Single pass over horizons 1..m computing the criterion and, when
-    requested, its exact gradient in phi (shares the companion powers and
-    residuals between the two)."""
+    """The empirical criterion summed over the residuals of horizons 1..m
+    and, when requested, its exact gradient in phi (by the adjoint
+    recursion, with w_k = -(2 / (m rows_k)) X_k' r_k)."""
     n = y.shape[0]
     p = phi.shape[0]
-    powers = _companion_powers(phi, m)
-    c00 = np.array([P[0, 0] for P in powers])
+    alpha = _predictors(phi, m)
     total = 0.0
-    grad = np.zeros(p) if want_grad else None
+    W = np.empty((m, p)) if want_grad else None
     for k in range(1, m + 1):
         rows = n - k - p + 1
-        alpha = powers[k][0]
-        resid = y[p + k - 1:] - X[:rows] @ alpha
+        resid = y[p + k - 1:] - X[:rows] @ alpha[k]
         total += float(resid @ resid) / rows
         if want_grad:
-            D = np.zeros((p, p))
-            for i in range(k):
-                D += c00[i] * powers[k - 1 - i]
-            grad += (-2.0 / rows) * (D @ (X[:rows].T @ resid))
+            W[k - 1] = (-2.0 / (m * rows)) * (X[:rows].T @ resid)
     if want_grad:
-        return total / m, grad / m
+        return total / m, _adjoint_grad(phi, alpha, W)
     return total / m, None
 
 
@@ -123,19 +206,7 @@ def population_q(truth, model, p, m):
     g = truth.gamma
     if p == 0:
         return float(g[0])
-    if truth.max_lag < p + m - 1:
-        raise InsufficientLags(
-            f"need gamma up to lag {p + m - 1}, have {truth.max_lag}"
-        )
+    moments = _population_moments(g, p, m)
     if not model.is_stationary:
         raise NonStationary("AR coefficients are not stationary")
-    from scipy.linalg import toeplitz
-
-    Gamma = toeplitz(g[:p])
-    powers = _companion_powers(model.phi, m)
-    total = 0.0
-    for k in range(1, m + 1):
-        alpha = powers[k][0]
-        gk = g[k: k + p]
-        total += float(g[0] - 2.0 * alpha @ gk + alpha @ Gamma @ alpha)
-    return total / m
+    return _moments_q(*moments, model.phi, m, want_grad=False)[0]

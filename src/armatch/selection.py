@@ -7,7 +7,7 @@ chosen order minimizes L(p) + bias(p), ties going to the smaller p.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter

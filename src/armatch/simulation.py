@@ -6,7 +6,7 @@ mix(base_seed, r), so results are identical for any worker count.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter

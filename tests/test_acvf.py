@@ -170,3 +170,11 @@ class TestAcvfSeq:
     def test_rejects_indefinite_sequence(self):
         with pytest.raises(ValueError):
             AcvfSeq([1.0, 0.9, -0.9])
+
+    def test_rejects_indefinite_sequence_at_high_order(self):
+        # Every minor up to order 12 is positive definite; the 15 x 15
+        # Toeplitz matrix has minimum eigenvalue -0.47.
+        g = 0.5 ** np.arange(15)
+        g[13] = 0.95
+        with pytest.raises(ValueError, match="indefinite"):
+            AcvfSeq(g)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import armatch
 import numpy as np
 import pytest
 
@@ -95,6 +100,18 @@ class TestFit:
     def test_too_short_exit_1(self, series_file):
         code = main(["fit", "--input", series_file, "--order", "3", "--steps", "4"])
         assert code == 1
+
+    @pytest.mark.parametrize("order, steps", [("1", "0"), ("-1", "2")])
+    def test_bad_orders_exit_2_without_traceback(self, series_file, order, steps):
+        env = dict(os.environ, PYTHONPATH=str(Path(armatch.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "armatch.cli", "fit", "--input", series_file,
+             "--order", order, "--steps", steps],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestSelect:

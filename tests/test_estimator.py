@@ -145,6 +145,12 @@ class TestFitMatch:
         assert a.model.phi.tolist() == b.model.phi.tolist()
         assert a.q_value == b.q_value
 
+    @pytest.mark.parametrize("p, m", [(2, 0), (2, -1), (-1, 2)])
+    def test_rejects_bad_orders(self, p, m):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 100, 3)
+        with pytest.raises(ValueError, match="must be >= "):
+            fit_match(y, p, m)
+
     def test_options_respected(self):
         y = simulate_arma(ArmaSpec([0.4], [], 1.0), 100, 29)
         fit = fit_match(y, 1, 2, FitOptions(extra_starts=0))
@@ -204,3 +210,9 @@ class TestFitIdeal:
                 _, qstar = fit_ideal(truth, p, m)
                 assert qstar <= prev + 1e-9
                 prev = qstar
+
+    @pytest.mark.parametrize("p, m", [(1, 0), (0, 0), (-1, 1)])
+    def test_rejects_bad_orders(self, p, m):
+        truth = arma_acvf(ArmaSpec([0.5], [], 1.0), 6)
+        with pytest.raises(ValueError, match="must be >= "):
+            fit_ideal(truth, p, m)

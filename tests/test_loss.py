@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from armatch import (
     AcvfSeq,
@@ -13,6 +16,7 @@ from armatch import (
     population_q,
     simulate_arma,
 )
+from armatch.loss import _empirical_moments, _moments_q, _population_moments, lag_matrix
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
@@ -129,8 +133,6 @@ class TestPopulationQ:
             assert abs(emp - pop) < 0.05 * pop
 
     def test_mmse_lower_bound(self):
-        from scipy.linalg import toeplitz
-
         rng = np.random.default_rng(41)
         truth = arma_acvf(ArmaSpec([0.7, -0.2], [0.4], 1.0), 12)
         g = truth.gamma
@@ -146,3 +148,87 @@ class TestPopulationQ:
                 ]
             )
             assert population_q(truth, model, p, m) >= floor - 1e-12
+
+
+def _predictor_oracle(phi, k):
+    """First row of the k-th power of the companion matrix, built directly."""
+    p = phi.shape[0]
+    C = np.zeros((p, p))
+    C[0] = phi
+    C[np.arange(1, p), np.arange(p - 1)] = 1.0
+    return np.linalg.matrix_power(C, k)[0]
+
+
+class TestMomentKernel:
+    def test_empirical_moments_match_residual_path(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            p = int(rng.integers(1, 11))
+            m = int(rng.integers(1, 21))
+            n = int(rng.integers(p + m + 5, 200))
+            y = rng.standard_normal(n)
+            phi = pacf_to_ar(rng.uniform(-0.9, 0.9, p))
+            model = ArParams(phi, 1.0)
+            moments = _empirical_moments(y, lag_matrix(y, p), p, m)
+            q, g = _moments_q(*moments, phi, m, want_grad=True)
+            ref = empirical_q(y, model, m)
+            assert abs(q - ref) <= 1e-10 * ref
+            g_ref = empirical_q_gradient(y, model, m)
+            assert np.max(np.abs(g - g_ref)) <= 1e-10 * max(np.max(np.abs(g_ref)), ref)
+
+    def test_population_matches_toeplitz_oracle(self):
+        rng = np.random.default_rng(59)
+        truth = arma_acvf(ArmaSpec([0.7, -0.2], [0.4], 1.0), 30)
+        g = truth.gamma
+        for _ in range(100):
+            p = int(rng.integers(1, 11))
+            m = int(rng.integers(1, 21))
+            phi = pacf_to_ar(rng.uniform(-0.9, 0.9, p))
+            Gamma = toeplitz(g[:p])
+            oracle = np.mean([
+                g[0] - 2 * a @ g[k: k + p] + a @ Gamma @ a
+                for k in range(1, m + 1)
+                for a in [_predictor_oracle(phi, k)]
+            ])
+            q = population_q(truth, ArParams(phi, 1.0), p, m)
+            assert abs(q - oracle) <= 1e-10 * oracle
+
+    def test_population_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(61)
+        truth = arma_acvf(ArmaSpec([0.8], [-0.5], 1.0), 30)
+        for _ in range(100):
+            p = int(rng.integers(1, 11))
+            m = int(rng.integers(1, 21))
+            phi = pacf_to_ar(rng.uniform(-0.8, 0.8, p))
+            moments = _population_moments(truth.gamma, p, m)
+            g = _moments_q(*moments, phi, m, want_grad=True)[1]
+            fd = np.empty(p)
+            for j in range(p):
+                h = 1e-6 * max(1.0, abs(phi[j]))
+                e = np.zeros(p)
+                e[j] = h
+                fd[j] = (
+                    _moments_q(*moments, phi + e, m, want_grad=False)[0]
+                    - _moments_q(*moments, phi - e, m, want_grad=False)[0]
+                ) / (2 * h)
+            scale = max(np.max(np.abs(fd)), 1e-6)
+            assert np.max(np.abs(g - fd)) / scale < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 6),
+    m=st.integers(1, 8),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_empirical_q_scale_equivariance(seed, p, m, scale):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(60)
+    model = ArParams(pacf_to_ar(rng.uniform(-0.9, 0.9, p)), 1.0)
+    q = empirical_q(y, model, m)
+    assert empirical_q(scale * y, model, m) == pytest.approx(scale ** 2 * q, rel=1e-10)
+    g = empirical_q_gradient(y, model, m)
+    g_scaled = empirical_q_gradient(scale * y, model, m)
+    tol = 1e-10 * scale ** 2 * max(np.max(np.abs(g)), q)
+    assert np.max(np.abs(g_scaled - scale ** 2 * g)) <= tol
