@@ -155,6 +155,7 @@ def cmd_select(args):
                     "aic": float(aic_vals[row.order]),
                     "converged": row.converged,
                     "replicates_used": row.replicates_used,
+                    "bias_se": row.bias_se,
                 }
                 for row in sel.rows
             ],
@@ -163,7 +164,7 @@ def cmd_select(args):
     else:
         header = [
             "p", "log_loss", "bias_estimate", "criterion", "aic",
-            "converged", "replicates_used", "chosen",
+            "converged", "replicates_used", "bias_se", "chosen",
         ]
         rows = [
             [
@@ -174,6 +175,7 @@ def cmd_select(args):
                 float(aic_vals[row.order]),
                 row.converged,
                 row.replicates_used,
+                row.bias_se,
                 row.order == sel.chosen_p,
             ]
             for row in sel.rows

@@ -4,21 +4,21 @@ import numpy as np
 
 
 def companion_matrix(phi):
-    """Companion matrix of an AR coefficient vector.
+    """Companion matrix of an AR coefficient vector (or a stack of them,
+    one per row of ``phi``, giving a stack of matrices).
 
     Top row is ``phi``, the subdiagonal is 1, everything else 0.  Its k-th
     power propagates the AR recursion k steps, so the first row of the k-th
     power gives the k-step predictor weights on the lag window.
     """
     phi = np.asarray(phi, dtype=float)
-    p = phi.shape[0]
+    p = phi.shape[-1]
     if p < 1:
         raise ValueError("companion_matrix requires p >= 1")
-    C = np.zeros((p, p))
-    C[0, :] = phi
-    if p > 1:
-        idx = np.arange(p - 1)
-        C[idx + 1, idx] = 1.0
+    C = np.zeros(phi.shape + (p,))
+    C[..., 0, :] = phi
+    idx = np.arange(p - 1)
+    C[..., idx + 1, idx] = 1.0
     return C
 
 
@@ -43,3 +43,9 @@ def ar_spectral_radius(phi):
     if phi.shape[0] == 0:
         return 0.0
     return spectral_radius(companion_matrix(phi))
+
+
+def ar_spectral_radii(phis):
+    """Spectral radius of the companion matrix of each row of a (B, p)
+    stack of AR coefficient vectors, p >= 1, from one stacked ``eigvals``."""
+    return np.max(np.abs(np.linalg.eigvals(companion_matrix(phis))), axis=1)

@@ -18,6 +18,7 @@ from .errors import NoConvergence, SingularDesign, TooShort
 from .loss import (
     _check_length,
     _empirical_moments,
+    _finite_series,
     _moments_q,
     _population_moments,
     _q_impl,
@@ -64,7 +65,7 @@ def fit_ols(series, p):
     The estimate is reported as-is; it is not forced into the stationary
     region (check ``result.is_stationary``).
     """
-    y = np.asarray(series, dtype=float)
+    y = _finite_series(series)
     n = y.shape[0]
     if n < 2 * p + 1 or n < 2:
         raise TooShort(
@@ -95,22 +96,26 @@ def _project_stationary(phi):
 
 
 def _pacf_to_ar_with_jac(r):
-    """Step-up recursion together with the Jacobian d(phi)/d(r)."""
+    """Step-up recursion together with the Jacobian d(phi)/d(r).
+
+    Both live in one preallocated array M, filled in place: row 0 is the
+    coefficient vector and row c + 1 is the column d(phi)/d(r_c).  Before
+    step k only M[:k + 1, :k] is nonzero, and the step reflects exactly that
+    block.  Its row-reversed copy is formed as a temporary first, because
+    M[:k + 1, :k] and M[:k + 1, k-1::-1] overlap.  The Jacobian is returned
+    C-contiguous, so that J.T @ g sums in the same order as for any other
+    (p, p) Jacobian.
+    """
     p = r.shape[0]
-    a = np.zeros(0)
-    J = np.zeros((0, p))
-    for j in range(1, p + 1):
-        rj = r[j - 1]
-        na = np.empty(j)
-        nJ = np.zeros((j, p))
-        if j > 1:
-            na[: j - 1] = a - rj * a[::-1]
-            nJ[: j - 1, :] = J - rj * J[::-1, :]
-            nJ[: j - 1, j - 1] = -a[::-1]
-        na[j - 1] = rj
-        nJ[j - 1, j - 1] = 1.0
-        a, J = na, nJ
-    return a, J
+    M = np.zeros((p + 1, p))
+    for k in range(p):
+        rk = r[k]
+        if k:
+            M[k + 1, :k] = -M[0, k - 1::-1]
+            M[: k + 1, :k] -= rk * M[: k + 1, k - 1::-1]
+        M[0, k] = rk
+        M[k + 1, k] = 1.0
+    return M[0], M[1:].T.copy()
 
 
 def _phi_to_s(phi):
@@ -196,7 +201,7 @@ def fit_match(series, p, m, opts=None):
     """
     _check_orders(p, m)
     opts = opts or FitOptions()
-    y = np.asarray(series, dtype=float)
+    y = _finite_series(series)
     n = y.shape[0]
     _check_length(n, p, m)
     if p == 0:

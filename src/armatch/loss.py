@@ -35,6 +35,14 @@ def lag_matrix(y, p):
     return np.column_stack([y[p - 1 - j: n - 1 - j] for j in range(p)])
 
 
+def _finite_series(series):
+    """The series as a float array; ValueError unless every value is finite."""
+    y = np.asarray(series, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("series must be finite")
+    return y
+
+
 def _check_length(n, p, m):
     # Shortest horizon-m sum needs n - m - p + 1 >= 1 (for p = 0: n - m + 1).
     min_n = m + p if p >= 1 else m
@@ -158,9 +166,7 @@ def empirical_q(series, model, m):
     with alpha_k the model-implied k-step predictor.  For p = 0 the
     predictor is zero and the k-sum runs over n - k + 1 terms.
     """
-    y = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("series must be finite")
+    y = _finite_series(series)
     n = y.shape[0]
     p = model.order
     if m < 1:

@@ -10,12 +10,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
-from .acvf import AcvfSeq, ArParams, ar_acvf
+from .acvf import AcvfSeq, ar_acvf
+from .companion import ar_spectral_radii
 from .errors import BootstrapFailed, DegenerateFit, TooShort
-from .estimator import FitOptions, fit_match, fit_ols
-from .loss import lag_matrix, population_q
+from .estimator import fit_match, fit_ols
+from .loss import _finite_series, _population_moments, lag_matrix, population_q
 from .parallel import parallel_map
 from .seeding import rng_from
 
@@ -43,6 +45,7 @@ class OrderRow:
     converged: bool
     iterations: int
     replicates_used: int
+    bias_se: float  # Monte-Carlo standard error of bias_estimate (NaN if one replicate)
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,110 @@ def _bootstrap_replicate(args):
     return lstar_b - (l_b - z_b)
 
 
+def _batched_diffs_m1(tasks):
+    """``[_bootstrap_replicate(t) for t in tasks]`` for the tasks of one
+    order at m = 1 (they differ only in b), computed as one batch.
+
+    Replicate b still draws its innovations from rng_from(seed, p, b), as
+    ``_simulate_fitted`` does.  The B series are filtered together, their
+    OLS refits solve one stacked (B, p, p) system, and the population
+    criterion Q* = gamma(0) - 2 phi'gamma(1..p) + phi'Gamma phi is
+    evaluated for all of them at once.  The checks of ``fit_ols`` and
+    ``fit_match`` run batched: a replicate whose Gram matrix is
+    near-singular, whose OLS solution is not stationary or whose
+    difference is not finite is redone by ``_bootstrap_replicate``.
+    """
+    model, pool, gamma_hat, ell, p, _, seed, _, _ = tasks[0]
+    burn = _BURNIN_BASE + p
+    # rng.integers draws the same indices as _simulate_fitted's rng.choice.
+    draws = [rng_from(seed, p, t[7]).integers(0, pool.shape[0], ell + burn) for t in tasks]
+    eps = pool[np.stack(draws)]
+    tail = eps[:, burn + p:]
+    tail_ms = np.einsum("ij,ij->i", tail, tail) / tail.shape[1]
+    if p == 0:
+        ok = np.ones(len(tasks), dtype=bool)
+        resid = eps[:, burn:]
+        qstar = gamma_hat.gamma[0]
+    else:
+        y = lfilter([1.0], np.concatenate(([1.0], -model.phi)), eps, axis=1)[:, burn:]
+        X = sliding_window_view(y, p, axis=1)[:, : ell - p, ::-1]  # X[b] = lag_matrix(y[b], p)
+        Xt = X.transpose(0, 2, 1)
+        G = Xt @ X
+        rhs = Xt @ y[:, p:, None]
+        scale = np.trace(G, axis1=1, axis2=2) / p
+        # For p < 67 this eigenvalue floor exceeds matrix_rank's tolerance.
+        ok = (scale > 0.0) & (np.linalg.eigvalsh(G)[:, 0] > 1e-12 * scale)
+        if p >= 67:
+            ok &= np.linalg.matrix_rank(G) == p
+        phi = np.zeros((len(tasks), p))
+        phi[ok] = np.linalg.solve(G[ok], rhs[ok])[..., 0]
+        ok &= ar_spectral_radii(phi) < 1.0
+        resid = y[:, p:] - (X @ phi[..., None])[..., 0]
+        s, c, gamma = _population_moments(gamma_hat.gamma, p, 1)
+        qstar = s[0] + np.sum(phi * ((gamma @ phi[..., None])[..., 0] - 2.0 * c[0]), axis=1)
+    q = np.einsum("ij,ij->i", resid, resid) / resid.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diffs = np.log(qstar) - (np.log(q) - np.log(tail_ms))
+    ok &= np.isfinite(diffs)
+    out = []
+    for task, good, qb, d in zip(tasks, ok.tolist(), q.tolist(), diffs.tolist()):
+        if not good:
+            d = _bootstrap_replicate(task)
+        elif qb <= _DEGENERATE_FLOOR:
+            d = None
+        out.append(d)
+    return out
+
+
 def _control_variate_mean(resid_pool, n):
     """E[log(mean of n i.i.d. squared draws)] to second order."""
     sq = resid_pool * resid_pool
     mu = float(np.mean(sq))
     var = float(np.var(sq))
     return math.log(mu) - var / (2.0 * n * mu * mu)
+
+
+def _bootstrap_tasks(y, fit, m, B, seed, opts):
+    """The replicate tasks b = 1..B of a fitted order (see
+    ``_bootstrap_replicate``)."""
+    p = fit.order
+    resid = _one_step_residuals(y, fit.model)
+    resid = resid - resid.mean()
+    if float(resid @ resid) <= 0.0:
+        raise DegenerateFit("residuals are identically zero; cannot bootstrap")
+    if p == 0:
+        gamma_hat = AcvfSeq(np.concatenate(([fit.model.sigma2], np.zeros(m))))
+    else:
+        gamma_hat = ar_acvf(fit.model, p + m)
+    ell = _subsample_length(y.shape[0], p, m)
+    return [(fit.model, resid, gamma_hat, ell, p, m, seed, b, opts) for b in range(1, B + 1)]
+
+
+def _replicate_diffs(task_lists, m, jobs):
+    """The replicate differences of each order's tasks (None if degenerate).
+
+    At m = 1 each order runs as one batch in this process; at m > 1 the
+    tasks of all orders go to one ``parallel_map`` call.
+    """
+    if m == 1:
+        return [_batched_diffs_m1(tasks) for tasks in task_lists]
+    B = len(task_lists[0])
+    flat = parallel_map(_bootstrap_replicate, [t for tasks in task_lists for t in tasks], jobs)
+    return [flat[i * B: (i + 1) * B] for i in range(len(task_lists))]
+
+
+def _penalty(tasks, diffs):
+    """(bias estimate, replicates used, its Monte-Carlo standard error) from
+    one order's replicate differences; at most 20% may be degenerate."""
+    _, resid, _, ell, p, *_ = tasks[0]
+    B = len(tasks)
+    used = np.array([d for d in diffs if d is not None])
+    skipped = B - used.shape[0]
+    if skipped > 0.2 * B:
+        raise BootstrapFailed(f"{skipped}/{B} bootstrap replicates degenerate")
+    bias = float(np.mean(used) - _control_variate_mean(resid, ell - p))
+    se = float(np.std(used, ddof=1)) / math.sqrt(used.shape[0]) if used.shape[0] > 1 else math.nan
+    return bias, used.shape[0], se
 
 
 def bootstrap_bias(series, p, m, B, seed, jobs=1, opts=None):
@@ -160,35 +261,18 @@ def bootstrap_bias(series, p, m, B, seed, jobs=1, opts=None):
     two thirds, see ``_subsample_length``), which conservatively inflates
     the penalty and is what makes the downstream order selection reliable.
     Replicate b uses the derived seed mix(seed, p, b); degenerate
-    replicates are skipped (at most 20% may be skipped).
+    replicates are skipped (at most 20% may be skipped).  At m = 1 the B
+    refits are closed-form OLS and run as one vectorised batch in this
+    process, whatever ``jobs`` is; at m > 1 they run through
+    ``parallel_map`` on ``jobs`` workers.  The result does not depend on
+    ``jobs``.
     """
-    return _bootstrap_bias_detail(series, p, m, B, seed, jobs=jobs, opts=opts)[0]
-
-
-def _bootstrap_bias_detail(series, p, m, B, seed, jobs=1, opts=None):
     if B < 1:
         raise ValueError("B must be >= 1")
-    y = np.asarray(series, dtype=float)
-    n = y.shape[0]
-    fit = fit_match(y, p, m, opts)
-    resid = _one_step_residuals(y, fit.model)
-    resid = resid - resid.mean()
-    if float(resid @ resid) <= 0.0:
-        raise DegenerateFit("residuals are identically zero; cannot bootstrap")
-    if p == 0:
-        gamma_hat = AcvfSeq(np.concatenate(([fit.model.sigma2], np.zeros(m))))
-    else:
-        gamma_hat = ar_acvf(fit.model, p + m)
-    ell = _subsample_length(n, p, m)
-    tasks = [
-        (fit.model, resid, gamma_hat, ell, p, m, seed, b, opts)
-        for b in range(1, B + 1)
-    ]
-    diffs = [d for d in parallel_map(_bootstrap_replicate, tasks, jobs) if d is not None]
-    skipped = B - len(diffs)
-    if skipped > 0.2 * B:
-        raise BootstrapFailed(f"{skipped}/{B} bootstrap replicates degenerate")
-    return float(np.mean(diffs) - _control_variate_mean(resid, ell - p)), len(diffs)
+    y = _finite_series(series)
+    tasks = _bootstrap_tasks(y, fit_match(y, p, m, opts), m, B, seed, opts)
+    (diffs,) = _replicate_diffs([tasks], m, jobs)
+    return _penalty(tasks, diffs)[0]
 
 
 def _max_feasible_order(n, m):
@@ -198,10 +282,16 @@ def _max_feasible_order(n, m):
 
 
 def select_order(series, p_max, m, B, seed, jobs=1, opts=None):
-    """Choose the AR order minimizing L(p) + bootstrap optimism penalty."""
+    """Choose the AR order minimizing L(p) + bootstrap optimism penalty.
+
+    Every order is fitted once, and that fit also seeds its bootstrap; the
+    replicates of all orders then run together (see ``bootstrap_bias``).
+    """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
-    y = np.asarray(series, dtype=float)
+    if B < 1:
+        raise ValueError("B must be >= 1")
+    y = _finite_series(series)
     n = y.shape[0]
     feasible = _max_feasible_order(n, m)
     if feasible < p_max:
@@ -210,19 +300,24 @@ def select_order(series, p_max, m, B, seed, jobs=1, opts=None):
             f"got p_max={p_max}",
             max_feasible_order=feasible,
         )
-    rows = []
+    fits, task_lists = [], []
     for p in range(p_max + 1):
         L, fit = log_loss(y, p, m, opts)
-        bias, used = _bootstrap_bias_detail(y, p, m, B, seed, jobs=jobs, opts=opts)
+        fits.append((L, fit))
+        task_lists.append(_bootstrap_tasks(y, fit, m, B, seed, opts))
+    rows = []
+    for (L, fit), tasks, diffs in zip(fits, task_lists, _replicate_diffs(task_lists, m, jobs)):
+        bias, used, se = _penalty(tasks, diffs)
         rows.append(
             OrderRow(
-                order=p,
+                order=fit.order,
                 log_loss=L,
                 bias_estimate=bias,
                 criterion=L + bias,
                 converged=fit.converged,
                 iterations=fit.iterations,
                 replicates_used=used,
+                bias_se=se,
             )
         )
     crit = np.array([r.criterion for r in rows])
@@ -241,7 +336,7 @@ def aic_baseline(series, p_max):
 
     Returns (chosen_p, aic_values); ties go to the smaller order.
     """
-    y = np.asarray(series, dtype=float)
+    y = _finite_series(series)
     n = y.shape[0]
     if n < 2 * p_max + 1 or n < 2:
         raise TooShort(

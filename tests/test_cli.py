@@ -129,6 +129,20 @@ class TestSelect:
                 row["log_loss"] + row["bias_estimate"]
             )
 
+    def test_bias_se_reported(self, ar2_file, tmp_path):
+        args = ["select", "--input", ar2_file, "--max-order", "2", "--steps", "1",
+                "--bootstrap", "10", "--seed", "4"]
+        main([*args, "--output", str(tmp_path / "sel.json")])
+        main([*args, "--format", "csv", "--output", str(tmp_path / "sel.csv")])
+        rows = json.loads((tmp_path / "sel.json").read_text())["orders"]
+        # At p = 0 every replicate difference is log(gamma_hat(0)), so the SE
+        # is zero up to rounding.
+        assert rows[0]["bias_se"] < 1e-12
+        assert all(row["bias_se"] > 0.0 for row in rows[1:])
+        header, *lines = (tmp_path / "sel.csv").read_text().splitlines()
+        assert header.split(",")[6:8] == ["replicates_used", "bias_se"]
+        assert [float(line.split(",")[7]) for line in lines] == [row["bias_se"] for row in rows]
+
     def test_bootstrap_zero_exit_2(self, ar2_file):
         code = main(["select", "--input", ar2_file, "--max-order", "2",
                      "--steps", "1", "--bootstrap", "0", "--seed", "1"])

@@ -19,6 +19,8 @@ from armatch import (
     simulate_arma,
 )
 
+from armatch.estimator import _pacf_to_ar_with_jac
+
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
 
@@ -155,6 +157,34 @@ class TestFitMatch:
         y = simulate_arma(ArmaSpec([0.4], [], 1.0), 100, 29)
         fit = fit_match(y, 1, 2, FitOptions(extra_starts=0))
         assert fit.restarts == 0
+
+
+class TestNonFiniteSeries:
+    def test_fit_ols(self):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 100, 90)
+        y[10] = np.nan
+        with pytest.raises(ValueError, match="series must be finite"):
+            fit_ols(y, 2)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_fit_match(self, m):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 100, 91)
+        y[20] = np.inf
+        with pytest.raises(ValueError, match="series must be finite"):
+            fit_match(y, 2, m)
+
+
+class TestPacfJacobian:
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_step_up_and_central_differences(self, p):
+        r = np.random.default_rng(p).uniform(-0.9, 0.9, p)
+        phi, J = _pacf_to_ar_with_jac(r)
+        np.testing.assert_array_equal(phi, pacf_to_ar(r))
+        h = 1e-6
+        fd = np.column_stack([
+            (pacf_to_ar(r + h * e) - pacf_to_ar(r - h * e)) / (2 * h) for e in np.eye(p)
+        ])
+        np.testing.assert_allclose(J, fd, rtol=0, atol=1e-7)
 
 
 class TestFitIdeal:

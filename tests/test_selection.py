@@ -17,6 +17,7 @@ from armatch import (
     select_order,
     simulate_arma,
 )
+from armatch import parallel, selection
 from armatch.acvf import ArParams
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
@@ -120,6 +121,62 @@ class TestBootstrapBias:
             bootstrap_bias(np.ones(50) + np.arange(50) % 2, 1, 1, 0, seed=1)
 
 
+def _order_tasks(y, p, m, B, seed):
+    _, fit = log_loss(y, p, m)
+    return selection._bootstrap_tasks(y, fit, m, B, seed, None)
+
+
+class TestBatchedBootstrap:
+    """The m = 1 batch against the per-replicate oracle ``_bootstrap_replicate``."""
+
+    @pytest.mark.parametrize("spec", [ArmaSpec([0.75, -0.5], [], 1.0), ArmaSpec([], [], 1.0)])
+    @pytest.mark.parametrize("p", range(7))
+    def test_equals_per_replicate(self, spec, p):
+        y = simulate_arma(spec, 300, 60 + p)
+        tasks = _order_tasks(y, p, 1, 40, seed=13)
+        batched = selection._batched_diffs_m1(tasks)
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        assert [d is None for d in batched] == [d is None for d in oracle]
+        kept = [(a, b) for a, b in zip(batched, oracle) if b is not None]
+        # The differences are differences of logs of O(1) criteria, so they
+        # agree to rounding in absolute terms even when they are near zero.
+        np.testing.assert_allclose(*zip(*kept), rtol=1e-12, atol=1e-14)
+
+    def test_failed_stationarity_check_falls_back(self, monkeypatch):
+        y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 71)
+        tasks = _order_tasks(y, 2, 1, 10, seed=3)
+        real = selection.ar_spectral_radii
+        oracle = selection._bootstrap_replicate
+        redone = []
+
+        def one_fails(phis):
+            radii = real(phis)
+            radii[4] = 1.0
+            return radii
+
+        def replicate(task):
+            redone.append(task[7])
+            return oracle(task)
+
+        monkeypatch.setattr(selection, "ar_spectral_radii", one_fails)
+        monkeypatch.setattr(selection, "_bootstrap_replicate", replicate)
+        batched = selection._batched_diffs_m1(tasks)
+        assert redone == [5]
+        assert batched[4] == oracle(tasks[4])
+        np.testing.assert_allclose(batched, [oracle(t) for t in tasks], rtol=1e-12, atol=1e-14)
+
+    def test_bias_se_is_spread_of_differences(self):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 72)
+        res = select_order(y, 2, 1, 30, seed=4)
+        for row in res.rows:
+            d = np.array([selection._bootstrap_replicate(t) for t in _order_tasks(y, row.order, 1, 30, 4)])
+            assert row.bias_se == pytest.approx(np.std(d, ddof=1) / math.sqrt(30), rel=1e-9)
+
+    def test_single_replicate_has_no_se(self):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 100, 73)
+        assert math.isnan(select_order(y, 1, 1, 1, seed=4).rows[1].bias_se)
+
+
 class TestSelectOrder:
     def test_shape_and_criterion_identity(self):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 200, 31)
@@ -141,10 +198,82 @@ class TestSelectOrder:
         b = select_order(y, 2, 1, 10, seed=8, jobs=4)
         assert a == b
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_pool_equals_per_order_bootstrap(self, jobs):
+        y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 120, 42)
+        res = select_order(y, 2, 3, 6, seed=11, jobs=jobs)
+        for row in res.rows:
+            assert row.bias_estimate == bootstrap_bias(y, row.order, 3, 6, seed=11)
+
+    def test_fits_each_order_once_at_m1(self, monkeypatch):
+        calls = []
+        real = selection.fit_match
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_match", counting)
+        monkeypatch.setattr(selection, "_bootstrap_replicate", None)  # no fallback
+        y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 43)
+        select_order(y, 4, 1, 20, seed=2)
+        assert calls == [0, 1, 2, 3, 4]
+
     def test_recovers_strong_ar2(self):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 500, 55)
         res = select_order(y, 4, 1, 50, seed=7, jobs=2)
         assert res.chosen_p == 2
+
+
+class TestNonFiniteSeries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bootstrap_bias(self, bad):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 100, 80)
+        y[50] = bad
+        with pytest.raises(ValueError, match="series must be finite"):
+            bootstrap_bias(y, 1, 1, 5, seed=1)
+
+    def test_select_order(self):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 100, 81)
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="series must be finite"):
+            select_order(y, 2, 1, 5, seed=1)
+
+    def test_aic_baseline(self):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 100, 82)
+        y[-1] = -np.inf
+        with pytest.raises(ValueError, match="series must be finite"):
+            aic_baseline(y, 2)
+
+
+class TestParallelMap:
+    """The pool size is min(jobs, CPU count, tasks); no process is started."""
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, items, workers",
+        [(8, 2, 100, 2), (64, 4, 10, 4), (64, 64, 3, 3), (3, None, 10, None), (2, 1, 10, None)],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, jobs, cpus, items, workers):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, it, chunksize=1):
+                return map(fn, it)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        out = parallel.parallel_map(abs, range(-items, 0), jobs)
+        assert out == list(range(items, 0, -1))
+        assert started == ([] if workers is None else [workers])
 
 
 class TestAicBaseline:
