@@ -203,6 +203,13 @@ def cmd_simulate(args):
     return 0
 
 
+def _required_int(section, key):
+    value = section.getint(key)
+    if value is None:
+        raise UsageError(f"config missing required key [{section.name}] {key}")
+    return value
+
+
 def _plan_from_config(path):
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -249,13 +256,13 @@ def _plan_from_config(path):
     if "selection" in cp:
         sec = cp["selection"]
         selection = SelectionSettings(
-            p_max=sec.getint("p_max"), m=sec.getint("m", 1), B=sec.getint("b")
+            p_max=_required_int(sec, "p_max"), m=sec.getint("m", 1), B=_required_int(sec, "b")
         )
     horizons = [int(h) for h in run_sec.get("horizons", "1").split(",")]
     return ExperimentPlan(
         truth=truth,
-        n=run_sec.getint("n"),
-        replicates=run_sec.getint("replicates"),
+        n=_required_int(run_sec, "n"),
+        replicates=_required_int(run_sec, "replicates"),
         estimators=tuple(estimators),
         eval_horizons=tuple(horizons),
         base_seed=run_sec.getint("base_seed", 0),

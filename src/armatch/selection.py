@@ -19,7 +19,7 @@ from .errors import BootstrapFailed, DegenerateFit, TooShort
 from .estimator import fit_match, fit_ols
 from .loss import _finite_series, _population_moments, lag_matrix, population_q
 from .parallel import parallel_map
-from .seeding import rng_from
+from .seeding import rekey, rng_from
 
 __all__ = [
     "OrderRow",
@@ -149,11 +149,12 @@ def _batched_diffs_m1(tasks):
     """``[_bootstrap_replicate(t) for t in tasks]`` for the tasks of one
     order at m = 1 (they differ only in b), computed as one batch.
 
-    Replicate b still draws its innovations from rng_from(seed, p, b), as
-    ``_simulate_fitted`` does.  The B series are filtered together, their
-    OLS refits solve one stacked (B, p, p) system, and the population
-    criterion Q* = gamma(0) - 2 phi'gamma(1..p) + phi'Gamma phi is
-    evaluated for all of them at once.  The checks of ``fit_ols`` and
+    Replicate b still draws its innovations from the stream of
+    rng_from(seed, p, b), as ``_simulate_fitted`` does: one generator is
+    rekeyed to each replicate's stream in turn.  The B series are filtered
+    together, their OLS refits solve one stacked (B, p, p) system, and the
+    population criterion Q* = gamma(0) - 2 phi'gamma(1..p) + phi'Gamma phi
+    is evaluated for all of them at once.  The checks of ``fit_ols`` and
     ``fit_match`` run batched: a replicate whose Gram matrix is
     near-singular, whose OLS solution is not stationary or whose
     difference is not finite is redone by ``_bootstrap_replicate``.
@@ -161,7 +162,10 @@ def _batched_diffs_m1(tasks):
     model, pool, gamma_hat, ell, p, _, seed, _, _ = tasks[0]
     burn = _BURNIN_BASE + p
     # rng.integers draws the same indices as _simulate_fitted's rng.choice.
-    draws = [rng_from(seed, p, t[7]).integers(0, pool.shape[0], ell + burn) for t in tasks]
+    rng, draws = rng_from(seed), []
+    for task in tasks:
+        rekey(rng, seed, p, task[7])
+        draws.append(rng.integers(0, pool.shape[0], ell + burn))
     eps = pool[np.stack(draws)]
     tail = eps[:, burn + p:]
     tail_ms = np.einsum("ij,ij->i", tail, tail) / tail.shape[1]

@@ -146,21 +146,42 @@ def simulate_arma(spec, n, seed, burnin=200, dist="gaussian", t_df=5.0):
 
 
 def simulate_tar(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
-    """Simulate a two-regime threshold AR path (zero initial history)."""
+    """Simulate a two-regime threshold AR path (zero initial history).
+
+    y_t = sum_j phi_j y_{t-j} + eps_t, with phi = ``phi_low`` when
+    y_{t-delay} <= ``threshold`` and ``phi_high`` otherwise; both are
+    zero-padded to p = max(orders, delay).  Deterministic per
+    (spec, n, seed, burnin, dist, t_df).
+
+    The recursion runs over Python floats, and its summation order is part
+    of the output's byte-identity contract: each step sums phi_j * y_{t-j}
+    for j = 1..p, lag 1 first, left to right, starting from 0.0, then adds
+    eps_t.  That is what numpy's dot product did on the reversed lag
+    window of earlier versions, so paths are bit-identical to theirs.
+    ``sum()`` (compensated since Python 3.12), ``math.fsum`` (correctly
+    rounded) and a BLAS dot on a contiguous window (fused multiply-adds,
+    other blocking) each round differently and are not used.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = max(spec.phi_low.shape[0], spec.phi_high.shape[0], spec.delay)
     rng = rng_from(seed)
     eps = _innovations(rng, burnin + n, spec.sigma2, dist, t_df)
-    lo = np.concatenate([spec.phi_low, np.zeros(p - spec.phi_low.shape[0])])
-    hi = np.concatenate([spec.phi_high, np.zeros(p - spec.phi_high.shape[0])])
-    buf = np.zeros(burnin + n + p)
-    for t in range(burnin + n):
-        i = t + p
-        window = buf[i - p: i][::-1]
-        phi = lo if buf[i - spec.delay] <= spec.threshold else hi
-        buf[i] = phi @ window + eps[t]
-    return buf[p + burnin:]
+    lo = np.concatenate([spec.phi_low, np.zeros(p - spec.phi_low.shape[0])]).tolist()
+    hi = np.concatenate([spec.phi_high, np.zeros(p - spec.phi_high.shape[0])]).tolist()
+    threshold, lag = spec.threshold, spec.delay - 1
+    window = [0.0] * p  # [y_{t-1}, ..., y_{t-p}]
+    out = []
+    for e in eps.tolist():
+        phi = lo if window[lag] <= threshold else hi
+        s = 0.0
+        for a, w in zip(phi, window):
+            s += a * w
+        y = s + e
+        out.append(y)
+        window.insert(0, y)
+        window.pop()
+    return np.array(out[burnin:])
 
 
 def _truth_gamma(plan):
@@ -272,7 +293,7 @@ def run_experiment(plan, jobs=1):
 def _run_replicate_safe(args):
     try:
         return _run_replicate(args)
-    except ArMatchError as exc:
+    except (ArMatchError, np.linalg.LinAlgError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -295,6 +316,7 @@ def _summarize(plan, rows, failures):
     summary = {
         "replicates": plan.replicates,
         "failed": len(failures),
+        "nan_scores": {name: int(np.isnan(s).sum()) for name, s in scores.items()},
         "eval_horizons": list(plan.eval_horizons),
         "estimators": {
             name: {

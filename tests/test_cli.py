@@ -260,6 +260,22 @@ class TestExperiment:
                      "--output", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("[run]", "n"), ("[run]", "replicates"), ("[selection]", "p_max"), ("[selection]", "b")],
+    )
+    def test_missing_required_key_exit_2_without_traceback(self, tmp_path, capsys, section, key):
+        lines = EXPERIMENT_CONFIG.splitlines(keepends=True)
+        start = lines.index(section + "\n")
+        drop = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} ="))
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text("".join(lines[:drop] + lines[drop + 1:]))
+        code = main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: config missing required key {section} {key}\n")
+        assert "Traceback" not in err
+
     def test_missing_config_exit_1(self, tmp_path):
         code = main(["experiment", "--config", str(tmp_path / "nope.ini"),
                      "--output", str(tmp_path / "o")])

@@ -19,6 +19,7 @@ from armatch import (
 )
 from armatch import parallel, selection
 from armatch.acvf import ArParams
+from armatch.seeding import mix_seed, rekey, rng_from
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
@@ -164,6 +165,26 @@ class TestBatchedBootstrap:
         assert redone == [5]
         assert batched[4] == oracle(tasks[4])
         np.testing.assert_allclose(batched, [oracle(t) for t in tasks], rtol=1e-12, atol=1e-14)
+
+    def test_rekeyed_stream_equals_fresh_generator(self):
+        # One generator, rekeyed after partial use (including a buffered
+        # 32-bit half), must draw what a fresh rng_from draws, for keys on
+        # both sides of 2^63.
+        rng = rng_from(0)
+        keys = []
+        draws = (
+            lambda g: g.integers(0, 397, 700),
+            lambda g: g.random(9),
+            lambda g: g.integers(0, 2**32, 5, dtype=np.uint32),
+        )
+        for seed, idx in [(13, (2, 1)), (13, (2, 2)), (2**64 - 1, (0, 7)), (5, (6, 100)), (2**63, ())]:
+            for draw in draws:
+                rng.integers(0, 2**32, 3, dtype=np.uint32)
+                rng.standard_normal(5)
+                rekey(rng, seed, *idx)
+                assert draw(rng).tobytes() == draw(rng_from(seed, *idx)).tobytes()
+            keys.append(mix_seed(seed, *idx) if idx else seed)
+        assert min(keys) < 2**63 <= max(keys)
 
     def test_bias_se_is_spread_of_differences(self):
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 72)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import armatch.simulation as simulation
 from armatch import (
     ArmaSpec,
     EstimatorSpec,
@@ -14,7 +17,25 @@ from armatch import (
     simulate_arma,
     simulate_tar,
 )
-from armatch.acvf import ArParams
+from armatch.acvf import ArParams, pacf_to_ar
+from armatch.seeding import rng_from
+
+
+def simulate_tar_numpy(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
+    """The numpy loop ``simulate_tar`` used to run, kept as the byte oracle:
+    a reversed (negative-stride) lag window and a length-p ``@`` per step."""
+    p = max(spec.phi_low.shape[0], spec.phi_high.shape[0], spec.delay)
+    rng = rng_from(seed)
+    eps = simulation._innovations(rng, burnin + n, spec.sigma2, dist, t_df)
+    lo = np.concatenate([spec.phi_low, np.zeros(p - spec.phi_low.shape[0])])
+    hi = np.concatenate([spec.phi_high, np.zeros(p - spec.phi_high.shape[0])])
+    buf = np.zeros(burnin + n + p)
+    for t in range(burnin + n):
+        i = t + p
+        window = buf[i - p: i][::-1]
+        phi = lo if buf[i - spec.delay] <= spec.threshold else hi
+        buf[i] = phi @ window + eps[t]
+    return buf[p + burnin:]
 
 
 class TestSimulateArma:
@@ -109,6 +130,52 @@ class TestSimulateTar:
         with pytest.raises(NonStationary):
             TarSpec([1.2], [0.5], 0.0, 1, 1.0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0),
+            TarSpec([0.4, -0.3], [-0.2, 0.1], 0.25, 2, 2.0),
+            TarSpec([0.5], [0.3], 0.1, 3, 0.7),  # delay > order: zero padding
+            TarSpec([0.1, 0.05, -0.1, 0.2, 0.1], [-0.1] * 7, -0.2, 9, 1.3),
+        ],
+    )
+    @pytest.mark.parametrize("dist", ["gaussian", "t"])
+    def test_bytes_equal_numpy_loop(self, spec, dist):
+        for seed in range(5):
+            got = simulate_tar(spec, 2000, seed, dist=dist, t_df=4.0)
+            assert got.tobytes() == simulate_tar_numpy(spec, 2000, seed, dist=dist, t_df=4.0).tobytes()
+        for n, burnin in [(1, 0), (1, 500), (5, 0)]:
+            got = simulate_tar(spec, n, 3, burnin=burnin, dist=dist)
+            assert got.shape == (n,)
+            assert got.tobytes() == simulate_tar_numpy(spec, n, 3, burnin=burnin, dist=dist).tobytes()
+
+    def test_threshold_hit_exactly_goes_low(self, monkeypatch):
+        # eps = 1, 0, 0: y0 = 1, y1 = -0.5 * y0 (high regime: 1 > -0.5), and
+        # y1 = -0.5 equals the threshold, so y2 = 0.5 * y1 (low regime).
+        monkeypatch.setattr(simulation, "_innovations", lambda rng, size, *a: np.array([1.0, 0.0, 0.0]))
+        spec = TarSpec([0.5], [-0.5], -0.5, 1, 1.0)
+        y = simulate_tar(spec, 3, 0, burnin=0)
+        assert y.tolist() == [1.0, -0.5, -0.25]
+        assert y.tobytes() == simulate_tar_numpy(spec, 3, 0, burnin=0).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r_low=st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=6),
+        r_high=st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=6),
+        threshold=st.floats(-2.0, 2.0),
+        delay=st.integers(1, 8),
+        sigma2=st.floats(0.01, 100.0),
+        n=st.integers(1, 300),
+        burnin=st.integers(0, 60),
+        seed=st.integers(0, 2**64 - 1),
+        dist=st.sampled_from(["gaussian", "t"]),
+    )
+    def test_bytes_equal_numpy_loop_property(self, r_low, r_high, threshold, delay, sigma2, n,
+                                             burnin, seed, dist):
+        spec = TarSpec(pacf_to_ar(r_low), pacf_to_ar(r_high), threshold, delay, sigma2)
+        got = simulate_tar(spec, n, seed, burnin=burnin, dist=dist)
+        assert got.tobytes() == simulate_tar_numpy(spec, n, seed, burnin=burnin, dist=dist).tobytes()
+
     def test_bad_delay_rejected(self):
         with pytest.raises(ValueError):
             TarSpec([0.5], [0.3], 0.0, 0, 1.0)
@@ -192,6 +259,39 @@ class TestRunExperiment:
         assert len(sel_rows) == 2
         assert all(isinstance(r["chosen_p"], int) for r in sel_rows)
         assert "selection" in report.summary
+
+    def test_nan_scores_counted(self):
+        # Near-unit-root truth, short series: some OLS fits are not
+        # stationary and score NaN; the summary counts them per estimator.
+        plan = self._tiny_plan(
+            truth=ArmaSpec([0.98], [], 1.0),
+            n=40,
+            replicates=60,
+            estimators=(EstimatorSpec("ols3", "ols", 3), EstimatorSpec("match1", "match", 1, 1)),
+        )
+        report = run_experiment(plan)
+        nan = {
+            name: sum(1 for r in report.rows if r["estimator"] == name and np.isnan(r["score"]))
+            for name in ("ols3", "match1")
+        }
+        assert nan["ols3"] > 0
+        assert report.summary["nan_scores"] == nan
+        assert report.summary["failed"] == 0
+
+    def test_linalg_error_recorded_as_failure(self, monkeypatch):
+        real = simulation.fit_ols
+
+        def fails_on_replicate_1(y, p):
+            if y[0] == first_y[1]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(y, p)
+
+        plan = self._tiny_plan(replicates=12, estimators=(EstimatorSpec("ols1", "ols", 1),))
+        first_y = [simulation._simulate_truth(plan, simulation.mix_seed(11, r))[0] for r in range(12)]
+        monkeypatch.setattr(simulation, "fit_ols", fails_on_replicate_1)
+        report = run_experiment(plan)
+        assert report.summary["failed"] == 1
+        assert [r["replicate"] for r in report.rows] == [0] + list(range(2, 12))
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
