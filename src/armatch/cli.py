@@ -245,9 +245,9 @@ def _plan_from_config(path):
             raise UsageError(f"estimator {name!r}: expected 'match p=P m=M' or 'ols p=P'")
         kv = {}
         for tok in parts[1:]:
-            if "=" not in tok:
-                raise UsageError(f"estimator {name!r}: bad token {tok!r}")
-            k, v = tok.split("=", 1)
+            k, eq, v = tok.partition("=")
+            if not eq or k not in ("p", "m"):
+                raise UsageError(f"estimator {name!r}: bad token {tok!r} (expected p=P or m=M)")
             kv[k] = int(v)
         estimators.append(
             EstimatorSpec(name=name, kind=parts[0], p=kv.get("p", 1), m=kv.get("m", 1))

@@ -1,7 +1,8 @@
 """Fitting AR(p) models by minimizing the multi-step prediction criterion.
 
-The optimizer works in unconstrained coordinates s -> r = tanh(s) -> phi
-(partial autocorrelations to AR coefficients), so every iterate is
+One damped Newton solver, ``minimize``, runs every iterative fit on a
+stack of starts at once, in unconstrained coordinates s -> r = tanh(s) ->
+phi (partial autocorrelations to AR coefficients), so every iterate is
 stationary by construction.  ``fit_ols`` is the closed-form one-step
 conditional-least-squares baseline, which feature matching reproduces at
 m = 1; ``fit_ideal`` minimizes the population criterion under a known truth.
@@ -10,7 +11,6 @@ m = 1; ``fit_ideal`` minimizes the population criterion under a known truth.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .acvf import ArParams, ar_to_pacf, levinson_solve, pacf_to_ar
 from .companion import ar_spectral_radius
@@ -32,6 +32,12 @@ __all__ = ["FitOptions", "FitResult", "fit_ols", "fit_match", "fit_ideal"]
 # Clamp on |r| when mapping into arctanh coordinates.
 _R_MAX = 1.0 - 1e-10
 
+# |s| bound that keeps |tanh(s)| <= _R_MAX, so every iterate is stationary.
+_S_MAX = float(np.arctanh(_R_MAX))
+
+# Forward-difference step in s of the Newton Hessian.
+_H_STEP = 1e-6
+
 # Deterministic jitter patterns for the extra optimizer starts (no RNG so
 # repeated fits are bit-identical).
 _JITTERS = (0.3, -0.45)
@@ -39,12 +45,11 @@ _JITTERS = (0.3, -0.45)
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer knobs for :func:`fit_match` and :func:`fit_ideal`."""
+    """Solver knobs for :func:`fit_match` and :func:`fit_ideal`."""
 
     max_iter: int = 500
     grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    extra_starts: int = 2
+    extra_starts: int = 2  # jittered starts of fit_match; fit_ideal has one start
 
 
 @dataclass(frozen=True)
@@ -96,26 +101,26 @@ def _project_stationary(phi):
 
 
 def _pacf_to_ar_with_jac(r):
-    """Step-up recursion together with the Jacobian d(phi)/d(r).
+    """Step-up recursion together with the Jacobian d(phi)/d(r), for one
+    vector r of shape (p,) or a stack (N, p).
 
-    Both live in one preallocated array M, filled in place: row 0 is the
-    coefficient vector and row c + 1 is the column d(phi)/d(r_c).  Before
-    step k only M[:k + 1, :k] is nonzero, and the step reflects exactly that
-    block.  Its row-reversed copy is formed as a temporary first, because
-    M[:k + 1, :k] and M[:k + 1, k-1::-1] overlap.  The Jacobian is returned
-    C-contiguous, so that J.T @ g sums in the same order as for any other
-    (p, p) Jacobian.
+    Both live in one preallocated array M of shape r.shape[:-1] + (p + 1, p),
+    filled in place: row 0 is the coefficient vector and row c + 1 is the
+    column d(phi)/d(r_c).  Before step k only M[..., :k + 1, :k] is nonzero,
+    and the step reflects exactly that block.  Its row-reversed copy is
+    formed as a temporary first, because M[..., :k + 1, :k] and
+    M[..., :k + 1, k-1::-1] overlap.  Returns phi and J with
+    J[..., i, c] = d(phi_i)/d(r_c) (a view of M).
     """
-    p = r.shape[0]
-    M = np.zeros((p + 1, p))
+    p = r.shape[-1]
+    M = np.zeros(r.shape[:-1] + (p + 1, p))
     for k in range(p):
-        rk = r[k]
         if k:
-            M[k + 1, :k] = -M[0, k - 1::-1]
-            M[: k + 1, :k] -= rk * M[: k + 1, k - 1::-1]
-        M[0, k] = rk
-        M[k + 1, k] = 1.0
-    return M[0], M[1:].T.copy()
+            M[..., k + 1, :k] = -M[..., 0, k - 1::-1]
+            M[..., : k + 1, :k] -= r[..., k, None, None] * M[..., : k + 1, k - 1::-1]
+        M[..., 0, k] = r[..., k]
+        M[..., k + 1, k] = 1.0
+    return M[..., 0, :], M[..., 1:, :].swapaxes(-1, -2)
 
 
 def _phi_to_s(phi):
@@ -130,74 +135,84 @@ def _check_orders(p, m):
         raise ValueError(f"p must be >= 0, got {p}")
 
 
-def _moments_objective(moments, m):
-    """objective(s) -> (value, gradient) of the moment-form criterion in the
-    unconstrained coordinates s -> r = tanh(s) -> phi."""
+def _newton_terms(moments, m, S):
+    """q (N,), gradient (N, p) and Hessian (N, p, p) in s at the rows of S.
 
-    def objective(s):
-        r = np.tanh(s)
-        phi, J = _pacf_to_ar_with_jac(r)
-        q, g_phi = _moments_q(*moments, phi, m, want_grad=True)
-        return q, (J.T @ g_phi) * (1.0 - r * r)
-
-    return objective
-
-
-def _minimize_reparam(objective, s0_list, opts):
-    """Minimize objective(s) -> (value, grad) over the starts.
-
-    Quasi-Newton (BFGS) on the analytic gradient, with a Nelder-Mead
-    polish whenever the gradient criterion is not met.
-    Returns (best_s, best_q, grad_inf, iterations, converged).
+    The Hessian is the symmetrised forward difference (step _H_STEP) of the
+    analytic gradient, so each row needs p + 1 gradients; all N (p + 1) of
+    them come from one stacked kernel call.
     """
-    best = None
-    total_iter = 0
-    for s0 in s0_list:
-        res = minimize(
-            objective,
-            s0,
-            method="BFGS",
-            jac=True,
-            options={"maxiter": opts.max_iter, "gtol": opts.grad_tol},
-        )
-        total_iter += int(res.nit)
-        q, g = objective(res.x)
-        ginf = float(np.max(np.abs(g)))
-        if ginf >= opts.grad_tol * max(1.0, q):
-            # Gradient path stalled; polish with Nelder-Mead.
-            nm = minimize(
-                lambda s: objective(s)[0],
-                res.x,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": opts.max_iter,
-                    "xatol": opts.step_tol,
-                    "fatol": opts.step_tol,
-                },
-            )
-            total_iter += int(nm.nit)
-            if nm.fun <= q:
-                q2, g2 = objective(nm.x)
-                res_x = nm.x
-                q = q2
-                ginf = float(np.max(np.abs(g2)))
-            else:
-                res_x = res.x
-        else:
-            res_x = res.x
-        if best is None or q < best[1]:
-            best = (res_x, q, ginf)
-    s, q, ginf = best
-    converged = ginf < opts.grad_tol * max(1.0, q)
-    return s, q, ginf, total_iter, converged
+    N, p = S.shape
+    pts = (S[:, None, :] + _H_STEP * np.eye(p + 1, p, -1)).reshape(-1, p)
+    r = np.tanh(pts)
+    phi, J = _pacf_to_ar_with_jac(r)
+    q, g_phi = _moments_q(*moments, phi, m, want_grad=True)
+    g = (np.matmul(g_phi[:, None, :], J)[:, 0] * (1.0 - r * r)).reshape(N, p + 1, p)
+    H = (g[:, 1:] - g[:, :1]) / _H_STEP
+    return q[:: p + 1], g[:, 0], 0.5 * (H + H.swapaxes(1, 2))
+
+
+def minimize(moments, m, starts, opts):
+    """Damped Newton on the moment-form criterion from each row of
+    ``starts`` (R, p), in the coordinates s -> r = tanh(s) -> phi.
+
+    The moments are divided by s_1 first, so the stop rule and the damping
+    do not depend on the series' scale.  Each iteration takes, for all rows
+    still running at once, the Levenberg-Marquardt step
+    -V diag(1 / (|w| + lam max|w|)) V'g of the Hessian H = V diag(w) V'
+    (|w| keeps it a descent direction where H is indefinite).  A trial that
+    does not raise q is accepted and lam shrinks tenfold, to no less than
+    1e-12; otherwise lam, which starts at 1e-3, grows a hundredfold.  A row
+    stops when grad_inf < grad_tol * max(1, q) (converged), when an accepted
+    step changes q by at most 4e-16 |q| or a step is below 1e-12 relative
+    (the rounding floor of q), or after ``opts.max_iter`` steps.
+
+    Returns (s, q, grad_inf, iterations, converged) of the row with the
+    least q, preferring a converged row among those within 1e-12 relative
+    of it; q and grad_inf are in the criterion's own scale, iterations are
+    summed over the rows.
+    """
+    scale = moments[0][0] if moments[0][0] > 0.0 else 1.0
+    moments = tuple(x / scale for x in moments)
+    S = np.clip(starts, -_S_MAX, _S_MAX)
+    q, g, H = _newton_terms(moments, m, S)
+    ginf = np.max(np.abs(g), axis=1)
+    converged = ginf < opts.grad_tol * np.maximum(1.0, q)
+    running = ~converged
+    lam = np.full(S.shape[0], 1e-3)
+    iters = np.zeros(S.shape[0], dtype=int)
+    for _ in range(opts.max_iter):
+        act = np.flatnonzero(running)
+        if act.size == 0:
+            break
+        w, V = np.linalg.eigh(H[act])
+        den = np.abs(w) + lam[act, None] * np.max(np.abs(w), axis=1, keepdims=True)
+        step = -np.matmul(V, (np.matmul(g[act, None, :], V)[:, 0] / den)[..., None])[..., 0]
+        trial = np.clip(S[act] + step, -_S_MAX, _S_MAX)
+        qt, gt, Ht = _newton_terms(moments, m, trial)
+        iters[act] += 1
+        ok = qt <= q[act]
+        floor = ok & (q[act] - qt <= 4e-16 * np.abs(qt))
+        acc = act[ok]
+        S[acc], q[acc], g[acc], H[acc] = trial[ok], qt[ok], gt[ok], Ht[ok]
+        ginf[acc] = np.max(np.abs(gt[ok]), axis=1)
+        converged[acc] = ginf[acc] < opts.grad_tol * np.maximum(1.0, q[acc])
+        lam[act] = np.where(ok, np.maximum(lam[act] / 10.0, 1e-12), lam[act] * 100.0)
+        floor |= np.max(np.abs(step), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(S[act]), axis=1))
+        running[act] = ~(converged[act] | floor)
+    # Rows within rounding of the least q tie; a converged one is preferred.
+    tied = q <= np.min(q) + 1e-12 * np.abs(np.min(q))
+    pick = np.argmin(np.where(tied & converged, q, np.inf)) if np.any(tied & converged) else np.argmin(q)
+    return S[pick], float(q[pick] * scale), float(ginf[pick] * scale), int(iters.sum()), bool(converged[pick])
 
 
 def fit_match(series, p, m, opts=None):
     """Minimize the up-to-m-step prediction criterion over stationary AR(p).
 
-    Multi-start: the (projected) OLS solution plus deterministic jittered
-    copies.  Never raises on a hard instance: if no start converges the
-    best point found is returned with ``converged=False``.
+    Multi-start, one batch: the (projected) OLS solution plus
+    ``opts.extra_starts`` deterministic jittered copies.  Never raises on
+    a hard instance: if no start converges the best point found is
+    returned with ``converged=False``.
     """
     _check_orders(p, m)
     opts = opts or FitOptions()
@@ -210,36 +225,20 @@ def fit_match(series, p, m, opts=None):
 
     X = lag_matrix(y, p)
     target = y[p:]
-
-    if m == 1:
+    try:
+        ols = fit_ols(y, p)
+    except (SingularDesign, TooShort):
+        ols = None
+    if m == 1 and ols is not None and ar_spectral_radius(ols.phi) < 1.0:
         # At m = 1 the criterion is exactly the conditional least-squares
         # quadratic, so a stationary OLS solution is the exact minimizer
         # over the (open) stationary region; skip the iterative solver.
-        try:
-            ols = fit_ols(y, p)
-        except (SingularDesign, TooShort):
-            ols = None
-        if ols is not None and ar_spectral_radius(ols.phi) < 1.0:
-            q, g = _q_impl(y, X, ols.phi, 1, want_grad=True)
-            return FitResult(
-                ols,
-                q,
-                1,
-                p,
-                iterations=0,
-                restarts=0,
-                converged=True,
-                grad_norm=float(np.max(np.abs(g))),
-            )
+        q, g = _q_impl(y, X, ols.phi, 1, want_grad=True)
+        return FitResult(ols, q, 1, p, converged=True, grad_norm=float(np.max(np.abs(g))))
 
-    objective = _moments_objective(_empirical_moments(y, X, p, m), m)
-    try:
-        phi0 = fit_ols(y, p).phi
-    except (SingularDesign, TooShort):
-        phi0 = np.zeros(p)
-    s0 = _phi_to_s(phi0)
-    starts = [s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]]
-    s, q, ginf, iters, converged = _minimize_reparam(objective, starts, opts)
+    s0 = _phi_to_s(ols.phi if ols is not None else np.zeros(p))
+    starts = np.array([s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]])
+    s, q, ginf, iters, converged = minimize(_empirical_moments(y, X, p, m), m, starts, opts)
     phi = pacf_to_ar(np.tanh(s))
     resid = target - X @ phi
     model = ArParams(phi, float(resid @ resid) / resid.shape[0])
@@ -259,23 +258,18 @@ def fit_ideal(truth, p, m, opts=None):
     """Minimize the population criterion under a known truth.
 
     Returns ``(model, q_star)`` where model.sigma2 is the attained one-step
-    population mean squared error.  The population moments are built once
-    per fit, and the optimizer runs on the criterion's analytic gradient.
+    population mean squared error.  The solver starts once, from the
+    Levinson (Yule-Walker) solution; ``opts.extra_starts`` is not used.
     """
     _check_orders(p, m)
     opts = opts or FitOptions()
     if p == 0:
         return ArParams(np.zeros(0), float(truth.gamma[0])), float(truth.gamma[0])
-    objective = _moments_objective(_population_moments(truth.gamma, p, m), m)
     phi0, _, _ = levinson_solve(truth, p)
-    s0 = _phi_to_s(phi0)
-    starts = [s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]]
-    s, qstar, ginf, _, converged = _minimize_reparam(objective, starts, opts)
-    if not converged and ginf >= 1e-6 * max(1.0, qstar):
-        raise NoConvergence(
-            f"ideal-world fit did not converge (grad inf-norm {ginf:.3e})"
-        )
+    s, qstar, ginf, _, converged = minimize(
+        _population_moments(truth.gamma, p, m), m, _phi_to_s(phi0)[None], opts
+    )
+    if not converged and ginf >= 1e-6 * max(truth.gamma[0], qstar):
+        raise NoConvergence(f"ideal-world fit did not converge (grad inf-norm {ginf:.3e})")
     phi = pacf_to_ar(np.tanh(s))
-    model = ArParams(phi, 1.0)
-    one_step = population_q(truth, model, p, 1)
-    return ArParams(phi, one_step), float(qstar)
+    return ArParams(phi, population_q(truth, ArParams(phi, 1.0), p, 1)), qstar

@@ -13,9 +13,10 @@ matrix, each over the n - k - p + 1 usable rows.  The population criterion
 s_k = gamma(0), c_k = (gamma(k), ..., gamma(k+p-1)) and
 G_k = Toeplitz(gamma(0..p-1)).  ``_moments_q`` evaluates the form and its
 gradient in phi for either source in O(m p^2), independent of the series
-length; the fits optimize through it.  ``empirical_q`` instead sums the
-residuals directly, which stays accurate when Q is far below s_k.  Series
-are treated as mean-zero: nothing here ever centers the data.
+length, for one coefficient vector or a stack of them; the fits optimize
+through it.  ``empirical_q`` instead sums the residuals directly, which
+stays accurate when Q is far below s_k.  Series are treated as mean-zero:
+nothing here ever centers the data.
 """
 
 import numpy as np
@@ -54,36 +55,36 @@ def _check_length(n, p, m):
 
 
 def _predictors(phi, m):
-    """Rows alpha_0..alpha_m, alpha_k = first row of C(phi)^k.
+    """Rows alpha_0..alpha_m, alpha_k = first row of C(phi)^k, for phi of
+    shape (p,) or a stack (N, p); A[k] has phi's shape.
 
     One companion step maps a row a to a[0] * phi + (a[1:], 0), so the
-    table costs O(m p).  Column 0 holds (C^k)[0, 0].
+    table costs O(m p) per vector.  A[k, ..., 0] holds (C^k)[0, 0].
     """
-    p = phi.shape[0]
-    A = np.zeros((m + 1, p))
-    A[0, 0] = 1.0
+    A = np.zeros((m + 1,) + phi.shape)
+    A[0, ..., 0] = 1.0
     for k in range(1, m + 1):
-        A[k, :-1] = A[k - 1, 1:]
-        A[k] += A[k - 1, 0] * phi
+        A[k] = A[k - 1, ..., :1] * phi
+        A[k, ..., :-1] += A[k - 1, ..., 1:]
     return A
 
 
 def _adjoint_grad(phi, A, W):
-    """sum_k W[k-1]' d(alpha_k)/d(phi) for the predictor table A.
+    """sum_k W[k-1]' d(alpha_k)/d(phi) for the predictor table A, per
+    vector of phi's stack (W has shape (m,) + phi.shape).
 
     d(alpha_k)/d(phi_j) = sum_{i<k} (C^i)[0, 0] (C^{k-1-i})[j, :], so with
     the backward recursion S_i = w_i + C S_{i+1} (S_{m+1} = 0) the sum is
     sum_{i=1..m} (C^{i-1})[0, 0] S_i, at O(m p) cost.
     """
-    m, p = W.shape
-    S = np.zeros(p)
-    grad = np.zeros(p)
-    for i in range(m, 0, -1):
-        head = phi @ S
-        S[1:] = S[:-1]
-        S[0] = head
+    S = np.zeros(phi.shape)
+    grad = np.zeros(phi.shape)
+    for i in range(W.shape[0], 0, -1):
+        head = np.sum(phi * S, axis=-1)
+        S[..., 1:] = S[..., :-1]
+        S[..., 0] = head
         S += W[i - 1]
-        grad += A[i - 1, 0] * S
+        grad += A[i - 1, ..., :1] * S
     return grad
 
 
@@ -92,14 +93,18 @@ def _moments_q(s, c, G, phi, m, want_grad):
     and, when requested, its gradient in phi.
 
     ``s`` has shape (m,), ``c`` (m, p) and ``G`` (m, p, p), or (p, p) when
-    one matrix serves every horizon.
+    one matrix serves every horizon.  ``phi`` is one vector (p,) or a stack
+    (N, p); q and the gradient follow its leading shape.
     """
-    alpha = _predictors(phi, m)
-    Ga = np.matmul(G, alpha[1:, :, None])[..., 0]
-    q = float(np.sum(s) + np.sum(alpha[1:] * (Ga - 2.0 * c))) / m
+    A = _predictors(phi, m)
+    lead = (1,) * (phi.ndim - 1)
+    c = c.reshape(c.shape[:1] + lead + c.shape[1:])
+    G = G.reshape(G.shape[:-2] + lead + G.shape[-2:])
+    Ga = np.matmul(G, A[1:, ..., None])[..., 0]
+    q = (np.sum(s) + np.sum(A[1:] * (Ga - 2.0 * c), axis=(0, -1))) / m
     if not want_grad:
         return q, None
-    return q, _adjoint_grad(phi, alpha, (2.0 / m) * (Ga - c))
+    return q, _adjoint_grad(phi, A, (2.0 / m) * (Ga - c))
 
 
 def _population_moments(gamma, p, m):
@@ -215,4 +220,4 @@ def population_q(truth, model, p, m):
     moments = _population_moments(g, p, m)
     if not model.is_stationary:
         raise NonStationary("AR coefficients are not stationary")
-    return _moments_q(*moments, model.phi, m, want_grad=False)[0]
+    return float(_moments_q(*moments, model.phi, m, want_grad=False)[0])

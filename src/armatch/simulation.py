@@ -316,6 +316,7 @@ def _summarize(plan, rows, failures):
     summary = {
         "replicates": plan.replicates,
         "failed": len(failures),
+        "failures": failures,
         "nan_scores": {name: int(np.isnan(s).sum()) for name, s in scores.items()},
         "eval_horizons": list(plan.eval_horizons),
         "estimators": {

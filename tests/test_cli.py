@@ -276,6 +276,16 @@ class TestExperiment:
         assert err.startswith(f"error: config missing required key {section} {key}\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ["M=5", "q=7"])
+    def test_unknown_estimator_token_exit_2_without_traceback(self, tmp_path, capsys, token):
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text(EXPERIMENT_CONFIG.replace("multi_step = match p=1 m=3", f"multi_step = match p=1 {token}"))
+        code = main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: estimator 'multi_step': bad token {token!r}")
+        assert "Traceback" not in err
+
     def test_missing_config_exit_1(self, tmp_path):
         code = main(["experiment", "--config", str(tmp_path / "nope.ini"),
                      "--output", str(tmp_path / "o")])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 from armatch import (
     AcvfSeq,
@@ -7,6 +10,7 @@ from armatch import (
     ArmaSpec,
     FitOptions,
     SingularDesign,
+    TarSpec,
     TooShort,
     ar_acvf,
     arma_acvf,
@@ -17,9 +21,12 @@ from armatch import (
     pacf_to_ar,
     population_q,
     simulate_arma,
+    simulate_tar,
 )
 
-from armatch.estimator import _pacf_to_ar_with_jac
+from armatch import estimator
+from armatch.estimator import _JITTERS, _pacf_to_ar_with_jac, _phi_to_s
+from armatch.loss import _empirical_moments, _moments_q, lag_matrix
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
@@ -185,6 +192,111 @@ class TestPacfJacobian:
             (pacf_to_ar(r + h * e) - pacf_to_ar(r - h * e)) / (2 * h) for e in np.eye(p)
         ])
         np.testing.assert_allclose(J, fd, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 12])
+    def test_stacked_rows_match_step_up_and_central_differences(self, p):
+        r = np.random.default_rng(100 + p).uniform(-0.95, 0.95, (7, p))
+        phi, J = _pacf_to_ar_with_jac(r)
+        assert phi.shape == (7, p) and J.shape == (7, p, p)
+        h = 1e-6
+        for i in range(7):
+            np.testing.assert_array_equal(phi[i], pacf_to_ar(r[i]))
+            fd = np.column_stack([
+                (pacf_to_ar(r[i] + h * e) - pacf_to_ar(r[i] - h * e)) / (2 * h) for e in np.eye(p)
+            ])
+            np.testing.assert_allclose(J[i], fd, rtol=0, atol=1e-7)
+
+
+def _bfgs_oracle_q(y, p, m):
+    """Least empirical criterion over scipy BFGS runs on the moment form,
+    from the starts fit_match uses."""
+    moments = _empirical_moments(y, lag_matrix(y, p), p, m)
+
+    def objective(s):
+        r = np.tanh(s)
+        phi, J = _pacf_to_ar_with_jac(r)
+        q, g = _moments_q(*moments, phi, m, want_grad=True)
+        return q, (g @ J) * (1.0 - r * r)
+
+    s0 = _phi_to_s(fit_ols(y, p).phi)
+    best = np.inf
+    for s in [s0] + [s0 + j for j in _JITTERS]:
+        res = scipy_minimize(objective, s, method="BFGS", jac=True, options={"gtol": 1e-8})
+        best = min(best, empirical_q(y, ArParams(pacf_to_ar(np.tanh(res.x)), 1.0), m))
+    return best
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("kind", ["arma", "tar"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_worse_than_scipy_bfgs_from_the_same_starts(self, kind, seed):
+        if kind == "arma":
+            y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 40 + seed)
+        else:
+            y = simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), 300, 40 + seed)
+        for p in (1, 2, 4, 6, 8):
+            for m in (2, 5, 10):
+                fit = fit_match(y, p, m)
+                assert fit.converged
+                assert fit.q_value <= _bfgs_oracle_q(y, p, m) * (1.0 + 1e-12), (p, m)
+
+    @pytest.mark.parametrize("p, m", [(2, 3), (4, 5)])
+    def test_trend_fit_returns_a_model(self, p, m):
+        # The minimum lies on the unit-root boundary; steps in s that are
+        # not clamped round tanh(s) to 1, and pacf_to_ar then raises.
+        fit = fit_match(np.arange(50.0), p, m)
+        assert fit.model.order == p and np.all(np.isfinite(fit.model.phi))
+
+    @pytest.mark.parametrize("q, g, picked", [
+        # Within 1e-12 relative of each other: only the largest q passes the
+        # gradient test, and that converged row is chosen.
+        ([1.6063727033494275, 1.606372703349427, 1.6063727033494277], [1e-6, 1e-6, 1e-12], 2),
+        # No tie: the least q is chosen although it did not converge.
+        ([1.6, 1.5, 1.7], [1e-12, 1e-6, 1e-12], 1),
+    ])
+    def test_row_choice_prefers_converged_only_on_a_rounding_tie(self, monkeypatch, q, g, picked):
+        q, g = np.array(q), np.array(g)[:, None]
+        monkeypatch.setattr(
+            estimator, "_newton_terms", lambda moments, m, S: (q.copy(), g.copy(), np.ones((3, 1, 1)))
+        )
+        moments = (np.ones(2), np.zeros((2, 1)), np.ones((1, 1)))
+        s, q_best, ginf, iterations, converged = estimator.minimize(
+            moments, 2, np.zeros((3, 1)), FitOptions(max_iter=0)
+        )
+        assert q_best == q[picked] and ginf == g[picked, 0] and iterations == 0
+        assert converged == (g[picked, 0] < 1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 6),
+    m=st.integers(2, 8),
+    log_c=st.floats(-150, 150),
+)
+def test_fit_match_scale_equivariance(seed, p, m, log_c):
+    c = 10.0 ** log_c
+    y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 200, seed)
+    fit = fit_match(y, p, m)
+    scaled = fit_match(c * y, p, m)
+    np.testing.assert_allclose(scaled.model.phi, fit.model.phi, rtol=0, atol=1e-6)
+    assert scaled.q_value == pytest.approx(c * c * fit.q_value, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pacf=st.lists(st.floats(-0.95, 0.95), min_size=0, max_size=3),
+    theta=st.floats(-0.9, 0.9),
+    n=st.integers(60, 400),
+    p=st.integers(1, 8),
+    m=st.integers(1, 10),
+)
+def test_fit_match_is_stationary_and_converged(seed, pacf, theta, n, p, m):
+    y = simulate_arma(ArmaSpec(pacf_to_ar(pacf), [theta], 1.0), n, seed)
+    fit = fit_match(y, p, m)
+    assert fit.model.is_stationary
+    assert fit.converged
 
 
 class TestFitIdeal:

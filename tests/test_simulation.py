@@ -291,6 +291,7 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation, "fit_ols", fails_on_replicate_1)
         report = run_experiment(plan)
         assert report.summary["failed"] == 1
+        assert report.summary["failures"] == [{"replicate": 1, "error": "LinAlgError: Singular matrix"}]
         assert [r["replicate"] for r in report.rows] == [0] + list(range(2, 12))
 
     def test_invalid_plans_rejected(self):
