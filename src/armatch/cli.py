@@ -112,20 +112,18 @@ def cmd_fit(args):
         "p": fr.order,
         "converged": fr.converged,
         "centered_mean": mean,
+        "iterations": fr.iterations,
+        "restarts": fr.restarts,
+        "grad_norm": fr.grad_norm,
     }
     if args.format == "json":
         _write_text(args.output, _json_text(out))
     else:
-        header = ["p", "m", "q_value", "sigma2", "converged", "centered_mean", "phi"]
-        row = [
-            out["p"],
-            out["m"],
-            out["q_value"],
-            out["sigma2"],
-            out["converged"],
-            out["centered_mean"],
-            ";".join(repr(v) for v in out["phi"]),
+        header = [
+            "p", "m", "q_value", "sigma2", "converged", "centered_mean", "phi",
+            "iterations", "restarts", "grad_norm",
         ]
+        row = [";".join(repr(v) for v in out["phi"]) if key == "phi" else out[key] for key in header]
         _write_text(args.output, _csv_text(header, [row]))
     return 0
 
@@ -135,7 +133,7 @@ def cmd_select(args):
         raise UsageError("--bootstrap must be >= 1")
     y = read_series(args.input)
     y, mean = _center(y, args.center)
-    sel = select_order(y, args.max_order, args.steps, args.bootstrap, args.seed, jobs=args.jobs)
+    sel = select_order(y, args.max_order, args.steps, args.bootstrap, args.seed)
     aic_p, aic_vals = aic_baseline(y, args.max_order)
     if args.format == "json":
         out = {
@@ -307,7 +305,10 @@ def build_parser():
     p_sel.add_argument("--bootstrap", type=int, required=True)
     p_sel.add_argument("--seed", type=int, required=True)
     p_sel.add_argument("--center", action="store_true")
-    p_sel.add_argument("--jobs", type=int, default=1)
+    p_sel.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; select runs in one process, so it has no effect",
+    )
     p_sel.add_argument("--output")
     p_sel.add_argument("--format", choices=["json", "csv"], default="json")
     p_sel.set_defaults(func=cmd_select)

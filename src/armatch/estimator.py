@@ -1,9 +1,10 @@
 """Fitting AR(p) models by minimizing the multi-step prediction criterion.
 
 One damped Newton solver, ``minimize``, runs every iterative fit on a
-stack of starts at once, in unconstrained coordinates s -> r = tanh(s) ->
-phi (partial autocorrelations to AR coefficients), so every iterate is
-stationary by construction.  ``fit_ols`` is the closed-form one-step
+stack of starts at once (the starts of one fit, or of many fits in groups,
+as the m > 1 bootstrap does), in unconstrained coordinates
+s -> r = tanh(s) -> phi (partial autocorrelations to AR coefficients), so
+every iterate is stationary by construction.  ``fit_ols`` is the closed-form one-step
 conditional-least-squares baseline, which feature matching reproduces at
 m = 1; ``fit_ideal`` minimizes the population criterion under a known truth.
 """
@@ -34,6 +35,9 @@ _R_MAX = 1.0 - 1e-10
 
 # |s| bound that keeps |tanh(s)| <= _R_MAX, so every iterate is stationary.
 _S_MAX = float(np.arctanh(_R_MAX))
+
+# Spectral radius below which a start point is used as it is.
+_START_RADIUS = 0.99
 
 # Forward-difference step in s of the Newton Hessian.
 _H_STEP = 1e-6
@@ -91,10 +95,10 @@ def fit_ols(series, p):
 
 
 def _project_stationary(phi):
-    """Shrink coefficients toward 0 until the spectral radius is < 0.99."""
+    """Shrink coefficients toward 0 until the spectral radius is < _START_RADIUS."""
     phi = np.asarray(phi, dtype=float).copy()
     for _ in range(2000):
-        if ar_spectral_radius(phi) < 0.99:
+        if ar_spectral_radius(phi) < _START_RADIUS:
             return phi
         phi *= 0.95
     return np.zeros_like(phi)
@@ -128,6 +132,15 @@ def _phi_to_s(phi):
     return np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
 
 
+def _match_starts(phi, opts):
+    """The start rows of a data fit from start coefficients phi, one vector
+    (p,) or a stack (B, p), each already inside _START_RADIUS: its s
+    and ``opts.extra_starts`` jittered copies, shape (..., 1 + extra, p)."""
+    r = np.array([ar_to_pacf(row) for row in phi.reshape(-1, phi.shape[-1])]).reshape(phi.shape)
+    s0 = np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
+    return np.stack([s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]], axis=-2)
+
+
 def _check_orders(p, m):
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -136,51 +149,71 @@ def _check_orders(p, m):
 
 
 def _newton_terms(moments, m, S):
-    """q (N,), gradient (N, p) and Hessian (N, p, p) in s at the rows of S.
+    """q (N,), gradient (N, p) and Hessian (N, p, p) in s at the rows of S,
+    under moments shared by every row or one set per row (row axis after
+    the horizon axis, as ``minimize`` stacks them).
 
     The Hessian is the symmetrised forward difference (step _H_STEP) of the
     analytic gradient, so each row needs p + 1 gradients; all N (p + 1) of
     them come from one stacked kernel call.
     """
     N, p = S.shape
-    pts = (S[:, None, :] + _H_STEP * np.eye(p + 1, p, -1)).reshape(-1, p)
+    pts = S[:, None, :] + _H_STEP * np.eye(p + 1, p, -1)
+    if moments[0].ndim == 2:  # per row: one set for the row's p + 1 points
+        moments = tuple(x[:, :, None] for x in moments)
+    else:  # shared: one flat stack of points is faster
+        pts = pts.reshape(-1, p)
     r = np.tanh(pts)
     phi, J = _pacf_to_ar_with_jac(r)
     q, g_phi = _moments_q(*moments, phi, m, want_grad=True)
-    g = (np.matmul(g_phi[:, None, :], J)[:, 0] * (1.0 - r * r)).reshape(N, p + 1, p)
+    g = (np.matmul(g_phi[..., None, :], J)[..., 0, :] * (1.0 - r * r)).reshape(N, p + 1, p)
     H = (g[:, 1:] - g[:, :1]) / _H_STEP
-    return q[:: p + 1], g[:, 0], 0.5 * (H + H.swapaxes(1, 2))
+    return q.reshape(N, p + 1)[:, 0], g[:, 0], 0.5 * (H + H.swapaxes(1, 2))
 
 
-def minimize(moments, m, starts, opts):
+def minimize(moments, m, starts, opts, groups=None):
     """Damped Newton on the moment-form criterion from each row of
     ``starts`` (R, p), in the coordinates s -> r = tanh(s) -> phi.
 
-    The moments are divided by s_1 first, so the stop rule and the damping
-    do not depend on the series' scale.  Each iteration takes, for all rows
-    still running at once, the Levenberg-Marquardt step
-    -V diag(1 / (|w| + lam max|w|)) V'g of the Hessian H = V diag(w) V'
-    (|w| keeps it a descent direction where H is indefinite).  A trial that
-    does not raise q is accepted and lam shrinks tenfold, to no less than
-    1e-12; otherwise lam, which starts at 1e-3, grows a hundredfold.  A row
-    stops when grad_inf < grad_tol * max(1, q) (converged), when an accepted
-    step changes q by at most 4e-16 |q| or a step is below 1e-12 relative
-    (the rounding floor of q), or after ``opts.max_iter`` steps.
+    The rows fall into groups 0..G-1 by ``groups`` (R,), the row -> group
+    index; without it all rows are one group.  ``moments`` (s, c, G) are
+    shared by every row, or are one set per group stacked after the horizon
+    axis: s (m, G), c (m, G, p), G (m, G, p, p).  Each set is divided by its
+    s_1 first, so the stop rule and the damping do not depend on the
+    series' scale.  Each iteration takes, for all rows still running at
+    once, the Levenberg-Marquardt step -V diag(1 / (|w| + lam max|w|)) V'g
+    of the Hessian H = V diag(w) V' (|w| keeps it a descent direction where
+    H is indefinite).  A trial that does not raise q is accepted and lam
+    shrinks tenfold, to no less than 1e-12; otherwise lam, which starts at
+    1e-3, grows a hundredfold.  A row stops when
+    grad_inf < grad_tol * max(1, q) (converged), when an accepted step
+    changes q by at most 4e-16 |q| or a step is below 1e-12 relative (the
+    rounding floor of q), or after ``opts.max_iter`` steps.
 
-    Returns (s, q, grad_inf, iterations, converged) of the row with the
-    least q, preferring a converged row among those within 1e-12 relative
-    of it; q and grad_inf are in the criterion's own scale, iterations are
-    summed over the rows.
+    Returns, per group, arrays (s, q, grad_inf, iterations, converged) of
+    its row with the least q, preferring a converged row among those within
+    1e-12 relative of it; q and grad_inf are in the criterion's own scale,
+    iterations are summed over the group's rows.
     """
-    scale = moments[0][0] if moments[0][0] > 0.0 else 1.0
-    moments = tuple(x / scale for x in moments)
+    R = starts.shape[0]
+    groups = np.zeros(R, dtype=int) if groups is None else np.asarray(groups)
+    scale = np.where(moments[0][0] > 0.0, moments[0][0], 1.0)
+    moments = (moments[0] / scale, moments[1] / scale[..., None], moments[2] / scale[..., None, None])
+    per_row = scale.ndim > 0
+    if per_row:  # one set per group: expand to one set per row
+        moments = tuple(x[:, groups] for x in moments)
+        scale = scale[groups]
+
+    def terms(rows, S):
+        return _newton_terms(tuple(x[:, rows] for x in moments) if per_row else moments, m, S)
+
     S = np.clip(starts, -_S_MAX, _S_MAX)
-    q, g, H = _newton_terms(moments, m, S)
+    q, g, H = terms(np.arange(R), S)
     ginf = np.max(np.abs(g), axis=1)
     converged = ginf < opts.grad_tol * np.maximum(1.0, q)
     running = ~converged
-    lam = np.full(S.shape[0], 1e-3)
-    iters = np.zeros(S.shape[0], dtype=int)
+    lam = np.full(R, 1e-3)
+    iters = np.zeros(R, dtype=int)
     for _ in range(opts.max_iter):
         act = np.flatnonzero(running)
         if act.size == 0:
@@ -189,7 +222,7 @@ def minimize(moments, m, starts, opts):
         den = np.abs(w) + lam[act, None] * np.max(np.abs(w), axis=1, keepdims=True)
         step = -np.matmul(V, (np.matmul(g[act, None, :], V)[:, 0] / den)[..., None])[..., 0]
         trial = np.clip(S[act] + step, -_S_MAX, _S_MAX)
-        qt, gt, Ht = _newton_terms(moments, m, trial)
+        qt, gt, Ht = terms(act, trial)
         iters[act] += 1
         ok = qt <= q[act]
         floor = ok & (q[act] - qt <= 4e-16 * np.abs(qt))
@@ -200,10 +233,18 @@ def minimize(moments, m, starts, opts):
         lam[act] = np.where(ok, np.maximum(lam[act] / 10.0, 1e-12), lam[act] * 100.0)
         floor |= np.max(np.abs(step), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(S[act]), axis=1))
         running[act] = ~(converged[act] | floor)
-    # Rows within rounding of the least q tie; a converged one is preferred.
-    tied = q <= np.min(q) + 1e-12 * np.abs(np.min(q))
-    pick = np.argmin(np.where(tied & converged, q, np.inf)) if np.any(tied & converged) else np.argmin(q)
-    return S[pick], float(q[pick] * scale), float(ginf[pick] * scale), int(iters.sum()), bool(converged[pick])
+    # Rows within rounding of their group's least q tie; a converged one is
+    # preferred, then the least q, then the first row.
+    n_groups = int(groups.max()) + 1
+    qmin = np.full(n_groups, np.inf)
+    np.minimum.at(qmin, groups, q)
+    best = converged & (q <= qmin[groups] + 1e-12 * np.abs(qmin[groups]))
+    order = np.lexsort((q, ~best, groups))
+    pick = order[np.searchsorted(groups[order], np.arange(n_groups))]
+    scale = np.broadcast_to(scale, (R,))[pick]
+    total = np.zeros(n_groups, dtype=int)
+    np.add.at(total, groups, iters)
+    return S[pick], q[pick] * scale, ginf[pick] * scale, total, converged[pick]
 
 
 def fit_match(series, p, m, opts=None):
@@ -236,9 +277,8 @@ def fit_match(series, p, m, opts=None):
         q, g = _q_impl(y, X, ols.phi, 1, want_grad=True)
         return FitResult(ols, q, 1, p, converged=True, grad_norm=float(np.max(np.abs(g))))
 
-    s0 = _phi_to_s(ols.phi if ols is not None else np.zeros(p))
-    starts = np.array([s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]])
-    s, q, ginf, iters, converged = minimize(_empirical_moments(y, X, p, m), m, starts, opts)
+    starts = _match_starts(_project_stationary(ols.phi if ols is not None else np.zeros(p)), opts)
+    s, q, ginf, iters, converged = (x[0] for x in minimize(_empirical_moments(y, X, p, m), m, starts, opts))
     phi = pacf_to_ar(np.tanh(s))
     resid = target - X @ phi
     model = ArParams(phi, float(resid @ resid) / resid.shape[0])
@@ -247,10 +287,10 @@ def fit_match(series, p, m, opts=None):
         empirical_q(y, model, m),
         m,
         p,
-        iterations=iters,
+        iterations=int(iters),
         restarts=len(starts) - 1,
-        converged=converged,
-        grad_norm=ginf,
+        converged=bool(converged),
+        grad_norm=float(ginf),
     )
 
 
@@ -266,10 +306,10 @@ def fit_ideal(truth, p, m, opts=None):
     if p == 0:
         return ArParams(np.zeros(0), float(truth.gamma[0])), float(truth.gamma[0])
     phi0, _, _ = levinson_solve(truth, p)
-    s, qstar, ginf, _, converged = minimize(
-        _population_moments(truth.gamma, p, m), m, _phi_to_s(phi0)[None], opts
+    s, qstar, ginf, _, converged = (
+        x[0] for x in minimize(_population_moments(truth.gamma, p, m), m, _phi_to_s(phi0)[None], opts)
     )
     if not converged and ginf >= 1e-6 * max(truth.gamma[0], qstar):
         raise NoConvergence(f"ideal-world fit did not converge (grad inf-norm {ginf:.3e})")
     phi = pacf_to_ar(np.tanh(s))
-    return ArParams(phi, population_q(truth, ArParams(phi, 1.0), p, 1)), qstar
+    return ArParams(phi, population_q(truth, ArParams(phi, 1.0), p, 1)), float(qstar)

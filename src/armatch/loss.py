@@ -92,16 +92,20 @@ def _moments_q(s, c, G, phi, m, want_grad):
     """The criterion (1/m) sum_k [s_k - 2 alpha_k' c_k + alpha_k' G_k alpha_k]
     and, when requested, its gradient in phi.
 
-    ``s`` has shape (m,), ``c`` (m, p) and ``G`` (m, p, p), or (p, p) when
-    one matrix serves every horizon.  ``phi`` is one vector (p,) or a stack
-    (N, p); q and the gradient follow its leading shape.
+    ``phi`` is one vector (p,) or a stack (..., p); q and the gradient
+    follow its leading shape.  The moments serve every vector, with ``s`` of
+    shape (m,), ``c`` (m, p) and ``G`` (m, p, p), or (p, p) when one matrix
+    serves every horizon; or they carry their own axes after the horizon
+    axis, broadcast against phi's leading shape (``s`` (m, ...), ``c``
+    (m, ..., p), ``G`` (m, ..., p, p)), one set per vector.
     """
     A = _predictors(phi, m)
-    lead = (1,) * (phi.ndim - 1)
-    c = c.reshape(c.shape[:1] + lead + c.shape[1:])
-    G = G.reshape(G.shape[:-2] + lead + G.shape[-2:])
+    if s.ndim == 1:
+        lead = (1,) * (phi.ndim - 1)
+        c = c.reshape(c.shape[:1] + lead + c.shape[1:])
+        G = G.reshape(G.shape[:-2] + lead + G.shape[-2:])
     Ga = np.matmul(G, A[1:, ..., None])[..., 0]
-    q = (np.sum(s) + np.sum(A[1:] * (Ga - 2.0 * c), axis=(0, -1))) / m
+    q = (np.sum(s, axis=0) + np.sum(A[1:] * (Ga - 2.0 * c), axis=(0, -1))) / m
     if not want_grad:
         return q, None
     return q, _adjoint_grad(phi, A, (2.0 / m) * (Ga - c))
@@ -122,26 +126,31 @@ def _population_moments(gamma, p, m):
 
 def _empirical_moments(y, X, p, m):
     """(s, c, G) of the empirical criterion, each averaged over the
-    n - k - p + 1 rows of horizon k.
+    n - k - p + 1 rows of horizon k, for one series y (n,) with
+    X = lag_matrix(y, p), or for a stack of equal-length series y (B, n)
+    with their lag matrices X (B, n - p, p).  The horizon axis comes first:
+    s (m, B), c (m, B, p) and G (m, B, p, p) for a stack.
 
     The horizon-k window is the horizon-(k+1) window plus one row, so the
     Gram matrices accumulate from the shortest window by rank-one updates.
     """
-    n = y.shape[0]
+    n = y.shape[-1]
+    lead = y.shape[:-1]
     rows = n - p + 1 - np.arange(1, m + 1)
-    G = np.empty((m, p, p))
-    Xm = X[: rows[-1]]
-    G[-1] = Xm.T @ Xm
+    Xt = X.swapaxes(-1, -2)
+    G = np.empty((m,) + lead + (p, p))
+    G[-1] = Xt[..., : rows[-1]] @ X[..., : rows[-1], :]
     for k in range(m - 1, 0, -1):
-        x = X[rows[k]]
-        G[k - 1] = G[k] + np.outer(x, x)
-    s = np.empty(m)
-    c = np.empty((m, p))
+        x = X[..., rows[k], :]
+        G[k - 1] = G[k] + x[..., :, None] * x[..., None, :]
+    s = np.empty((m,) + lead)
+    c = np.empty((m,) + lead + (p,))
     for k in range(1, m + 1):
-        target = y[p + k - 1:]
-        s[k - 1] = target @ target
-        c[k - 1] = X[: rows[k - 1]].T @ target
-    return s / rows, c / rows[:, None], G / rows[:, None, None]
+        target = y[..., p + k - 1:, None]
+        s[k - 1] = (target.swapaxes(-1, -2) @ target)[..., 0, 0]
+        c[k - 1] = (Xt[..., : rows[k - 1]] @ target)[..., 0]
+    rows = rows.reshape((m,) + (1,) * len(lead))
+    return s / rows, c / rows[..., None], G / rows[..., None, None]
 
 
 def _q_impl(y, X, phi, m, want_grad):

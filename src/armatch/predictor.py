@@ -10,16 +10,10 @@ import numpy as np
 from scipy.linalg import solve_toeplitz
 
 from .acvf import levinson_solve
-from .companion import companion_matrix, spectral_radius
 from .errors import InsufficientLags, NonStationary, SingularToeplitz
+from .loss import _predictors
 
-__all__ = [
-    "PredictorCoeffs",
-    "companion_matrix",
-    "spectral_radius",
-    "predictor_from_model",
-    "predictor_from_acvf",
-]
+__all__ = ["PredictorCoeffs", "predictor_from_model", "predictor_from_acvf"]
 
 
 @dataclass(frozen=True)
@@ -42,8 +36,9 @@ class PredictorCoeffs:
 def predictor_from_model(model, k):
     """Model-implied k-step predictor: first row of the k-th companion power.
 
-    O(k p^2); agrees with the Toeplitz route through the model-implied
-    autocovariances (see :func:`predictor_from_acvf`).
+    O(k p) by the companion recursion of ``loss._predictors``; agrees with
+    the Toeplitz route through the model-implied autocovariances (see
+    :func:`predictor_from_acvf`).
     """
     if k < 1:
         raise ValueError("horizon must be >= 1")
@@ -52,12 +47,7 @@ def predictor_from_model(model, k):
         return PredictorCoeffs(np.zeros(0), k, 0)
     if not model.is_stationary:
         raise NonStationary("AR coefficients are not stationary")
-    C = companion_matrix(model.phi)
-    row = np.zeros(p)
-    row[0] = 1.0
-    for _ in range(k):
-        row = row @ C
-    return PredictorCoeffs(row, k, p)
+    return PredictorCoeffs(_predictors(model.phi, k)[k], k, p)
 
 
 def predictor_from_acvf(truth, p, k):

@@ -16,9 +16,24 @@ from scipy.signal import lfilter
 from .acvf import AcvfSeq, ar_acvf
 from .companion import ar_spectral_radii
 from .errors import BootstrapFailed, DegenerateFit, TooShort
-from .estimator import fit_match, fit_ols
-from .loss import _finite_series, _population_moments, lag_matrix, population_q
-from .parallel import parallel_map
+from .estimator import (
+    _START_RADIUS,
+    FitOptions,
+    _match_starts,
+    _pacf_to_ar_with_jac,
+    fit_match,
+    fit_ols,
+    minimize,
+)
+from .loss import (
+    _empirical_moments,
+    _finite_series,
+    _moments_q,
+    _population_moments,
+    _predictors,
+    lag_matrix,
+    population_q,
+)
 from .seeding import rekey, rng_from
 
 __all__ = [
@@ -145,21 +160,52 @@ def _bootstrap_replicate(args):
     return lstar_b - (l_b - z_b)
 
 
-def _batched_diffs_m1(tasks):
+def _gram_ok(G):
+    """``fit_ols``'s check on a stack (B, p, p) of Gram matrices: False
+    where it would raise SingularDesign.  For p < 67 the eigenvalue floor
+    exceeds matrix_rank's tolerance, so the rank test runs only above."""
+    p = G.shape[-1]
+    scale = np.trace(G, axis1=1, axis2=2) / p
+    ok = (scale > 0.0) & (np.linalg.eigvalsh(G)[:, 0] > 1e-12 * scale)
+    if p >= 67:
+        ok &= np.linalg.matrix_rank(G) == p
+    return ok
+
+
+def _residual_q(y, X, phi, m):
+    """``empirical_q`` of each row of the stack (y, X, phi), summed over the
+    residuals of horizons 1..m."""
+    p = phi.shape[1]
+    alpha = _predictors(phi, m) if p else None
+    q = 0.0
+    for k in range(1, m + 1):
+        resid = y[:, p + k - 1:]
+        if p:
+            resid = resid - (X[:, : resid.shape[1]] @ alpha[k][..., None])[..., 0]
+        q = q + np.einsum("ij,ij->i", resid, resid) / resid.shape[1]
+    return q / m
+
+
+def _batched_diffs(tasks):
     """``[_bootstrap_replicate(t) for t in tasks]`` for the tasks of one
-    order at m = 1 (they differ only in b), computed as one batch.
+    order (they differ only in b), computed as one batch.
 
     Replicate b still draws its innovations from the stream of
     rng_from(seed, p, b), as ``_simulate_fitted`` does: one generator is
     rekeyed to each replicate's stream in turn.  The B series are filtered
-    together, their OLS refits solve one stacked (B, p, p) system, and the
-    population criterion Q* = gamma(0) - 2 phi'gamma(1..p) + phi'Gamma phi
-    is evaluated for all of them at once.  The checks of ``fit_ols`` and
-    ``fit_match`` run batched: a replicate whose Gram matrix is
-    near-singular, whose OLS solution is not stationary or whose
-    difference is not finite is redone by ``_bootstrap_replicate``.
+    together and their OLS solutions come from one stacked (B, p, p) solve.
+    At m = 1 that solution is the fit.  At m > 1 it is the start of
+    ``fit_match``: the jittered start rows of all B replicates run through
+    one ``minimize`` call, one group per replicate, on their stacked
+    empirical moments.  The in-sample criterion comes from the residuals
+    and the population criterion Q* from the moments of gamma_hat, for all
+    replicates at once.  A replicate that fails a check of the
+    per-replicate path is redone by ``_bootstrap_replicate``: a
+    near-singular Gram matrix, an OLS start that ``_project_stationary``
+    would move (m > 1), a fitted model that is not stationary, or a
+    difference that is not finite.
     """
-    model, pool, gamma_hat, ell, p, _, seed, _, _ = tasks[0]
+    model, pool, gamma_hat, ell, p, m, seed, _, opts = tasks[0]
     burn = _BURNIN_BASE + p
     # rng.integers draws the same indices as _simulate_fitted's rng.choice.
     rng, draws = rng_from(seed), []
@@ -171,7 +217,7 @@ def _batched_diffs_m1(tasks):
     tail_ms = np.einsum("ij,ij->i", tail, tail) / tail.shape[1]
     if p == 0:
         ok = np.ones(len(tasks), dtype=bool)
-        resid = eps[:, burn:]
+        y, X, phi = eps[:, burn:], None, np.zeros((len(tasks), 0))
         qstar = gamma_hat.gamma[0]
     else:
         y = lfilter([1.0], np.concatenate(([1.0], -model.phi)), eps, axis=1)[:, burn:]
@@ -179,18 +225,21 @@ def _batched_diffs_m1(tasks):
         Xt = X.transpose(0, 2, 1)
         G = Xt @ X
         rhs = Xt @ y[:, p:, None]
-        scale = np.trace(G, axis1=1, axis2=2) / p
-        # For p < 67 this eigenvalue floor exceeds matrix_rank's tolerance.
-        ok = (scale > 0.0) & (np.linalg.eigvalsh(G)[:, 0] > 1e-12 * scale)
-        if p >= 67:
-            ok &= np.linalg.matrix_rank(G) == p
+        ok = _gram_ok(G)
         phi = np.zeros((len(tasks), p))
         phi[ok] = np.linalg.solve(G[ok], rhs[ok])[..., 0]
+        if m > 1:  # fit_match from the OLS start, unless it needs projecting
+            ok &= ar_spectral_radii(phi) < _START_RADIUS
+            if np.any(ok):
+                opts = opts or FitOptions()
+                starts = _match_starts(phi[ok], opts)
+                groups = np.repeat(np.arange(starts.shape[0]), starts.shape[1])
+                moments = _empirical_moments(y[ok], X[ok], p, m)
+                S = minimize(moments, m, starts.reshape(-1, p), opts, groups)[0]
+                phi[ok] = _pacf_to_ar_with_jac(np.tanh(S))[0]
         ok &= ar_spectral_radii(phi) < 1.0
-        resid = y[:, p:] - (X @ phi[..., None])[..., 0]
-        s, c, gamma = _population_moments(gamma_hat.gamma, p, 1)
-        qstar = s[0] + np.sum(phi * ((gamma @ phi[..., None])[..., 0] - 2.0 * c[0]), axis=1)
-    q = np.einsum("ij,ij->i", resid, resid) / resid.shape[1]
+        qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
+    q = _residual_q(y, X, phi, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         diffs = np.log(qstar) - (np.log(q) - np.log(tail_ms))
     ok &= np.isfinite(diffs)
@@ -228,34 +277,26 @@ def _bootstrap_tasks(y, fit, m, B, seed, opts):
     return [(fit.model, resid, gamma_hat, ell, p, m, seed, b, opts) for b in range(1, B + 1)]
 
 
-def _replicate_diffs(task_lists, m, jobs):
-    """The replicate differences of each order's tasks (None if degenerate).
-
-    At m = 1 each order runs as one batch in this process; at m > 1 the
-    tasks of all orders go to one ``parallel_map`` call.
-    """
-    if m == 1:
-        return [_batched_diffs_m1(tasks) for tasks in task_lists]
-    B = len(task_lists[0])
-    flat = parallel_map(_bootstrap_replicate, [t for tasks in task_lists for t in tasks], jobs)
-    return [flat[i * B: (i + 1) * B] for i in range(len(task_lists))]
-
-
-def _penalty(tasks, diffs):
-    """(bias estimate, replicates used, its Monte-Carlo standard error) from
-    one order's replicate differences; at most 20% may be degenerate."""
-    _, resid, _, ell, p, *_ = tasks[0]
+def _penalty(tasks):
+    """(bias estimate, replicates used, its Monte-Carlo standard error) of
+    one order's tasks; at most 20% of the replicates may be degenerate."""
+    _, resid, gamma_hat, ell, p, m, *_ = tasks[0]
     B = len(tasks)
-    used = np.array([d for d in diffs if d is not None])
+    control = _control_variate_mean(resid, ell - p)
+    if p == 0 and m == 1 and np.min(resid * resid) > _DEGENERATE_FLOOR:
+        # Every difference is then log gamma_hat(0): q_b and the control
+        # variate are the same mean square, and none can be degenerate.
+        return math.log(gamma_hat.gamma[0]) - control, B, 0.0
+    used = np.array([d for d in _batched_diffs(tasks) if d is not None])
     skipped = B - used.shape[0]
     if skipped > 0.2 * B:
         raise BootstrapFailed(f"{skipped}/{B} bootstrap replicates degenerate")
-    bias = float(np.mean(used) - _control_variate_mean(resid, ell - p))
+    bias = float(np.mean(used) - control)
     se = float(np.std(used, ddof=1)) / math.sqrt(used.shape[0]) if used.shape[0] > 1 else math.nan
     return bias, used.shape[0], se
 
 
-def bootstrap_bias(series, p, m, B, seed, jobs=1, opts=None):
+def bootstrap_bias(series, p, m, B, seed, opts=None):
     """Parametric residual-bootstrap estimate of the log-loss optimism.
 
     Fit the order-p model, resample its centered one-step residuals to
@@ -265,18 +306,15 @@ def bootstrap_bias(series, p, m, B, seed, jobs=1, opts=None):
     two thirds, see ``_subsample_length``), which conservatively inflates
     the penalty and is what makes the downstream order selection reliable.
     Replicate b uses the derived seed mix(seed, p, b); degenerate
-    replicates are skipped (at most 20% may be skipped).  At m = 1 the B
-    refits are closed-form OLS and run as one vectorised batch in this
-    process, whatever ``jobs`` is; at m > 1 they run through
-    ``parallel_map`` on ``jobs`` workers.  The result does not depend on
-    ``jobs``.
+    replicates are skipped (at most 20% may be skipped).  The B refits run
+    as one vectorised batch in this process: closed-form OLS at m = 1, one
+    grouped ``minimize`` call at m > 1.  At p = 0 and m = 1 every
+    replicate difference is log gamma_hat(0), so no series is drawn.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     y = _finite_series(series)
-    tasks = _bootstrap_tasks(y, fit_match(y, p, m, opts), m, B, seed, opts)
-    (diffs,) = _replicate_diffs([tasks], m, jobs)
-    return _penalty(tasks, diffs)[0]
+    return _penalty(_bootstrap_tasks(y, fit_match(y, p, m, opts), m, B, seed, opts))[0]
 
 
 def _max_feasible_order(n, m):
@@ -285,11 +323,11 @@ def _max_feasible_order(n, m):
     return max(feasible, -1)
 
 
-def select_order(series, p_max, m, B, seed, jobs=1, opts=None):
+def select_order(series, p_max, m, B, seed, opts=None):
     """Choose the AR order minimizing L(p) + bootstrap optimism penalty.
 
-    Every order is fitted once, and that fit also seeds its bootstrap; the
-    replicates of all orders then run together (see ``bootstrap_bias``).
+    Every order is fitted once, and that fit also seeds its bootstrap; then
+    each order's replicates run as one batch (see ``bootstrap_bias``).
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -310,8 +348,8 @@ def select_order(series, p_max, m, B, seed, jobs=1, opts=None):
         fits.append((L, fit))
         task_lists.append(_bootstrap_tasks(y, fit, m, B, seed, opts))
     rows = []
-    for (L, fit), tasks, diffs in zip(fits, task_lists, _replicate_diffs(task_lists, m, jobs)):
-        bias, used, se = _penalty(tasks, diffs)
+    for (L, fit), tasks in zip(fits, task_lists):
+        bias, used, se = _penalty(tasks)
         rows.append(
             OrderRow(
                 order=fit.order,

@@ -80,6 +80,20 @@ class TestFit:
         assert lines[0].startswith("p,m,q_value")
         assert len(lines) == 2
 
+    def test_solver_fields_reported(self, ar2_file, tmp_path):
+        args = ["fit", "--input", ar2_file, "--order", "2", "--steps", "3"]
+        main([*args, "--output", str(tmp_path / "fit.json")])
+        main([*args, "--format", "csv", "--output", str(tmp_path / "fit.csv")])
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["iterations"] > 0 and doc["restarts"] == 2
+        assert 0.0 <= doc["grad_norm"] < 1e-6
+        header, line = (tmp_path / "fit.csv").read_text().splitlines()
+        assert header == "p,m,q_value,sigma2,converged,centered_mean,phi,iterations,restarts,grad_norm"
+        values = line.split(",")
+        assert [int(values[7]), int(values[8]), float(values[9])] == [
+            doc["iterations"], doc["restarts"], doc["grad_norm"]
+        ]
+
     def test_missing_order_usage_error(self, series_file):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--input", series_file, "--steps", "1"])
@@ -155,6 +169,17 @@ class TestSelect:
             main(["select", "--input", ar2_file, "--max-order", "2",
                   "--steps", "1", "--bootstrap", "8", "--seed", "4",
                   "--jobs", jobs, "--format", "csv", "--output", str(out)])
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+    def test_multistep_bytes_do_not_depend_on_jobs(self, ar2_file, tmp_path):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sel{jobs}.json"
+            main(["select", "--input", ar2_file, "--max-order", "3",
+                  "--steps", "3", "--bootstrap", "8", "--seed", "4",
+                  "--jobs", jobs, "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 

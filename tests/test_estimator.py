@@ -267,6 +267,27 @@ class TestNewtonSolver:
         assert converged == (g[picked, 0] < 1e-8)
 
 
+@pytest.mark.parametrize("p, m", [(1, 2), (3, 5), (6, 10)])
+def test_grouped_minimize_equals_one_call_per_group(p, m):
+    # Five series at scales 1e-100..1e100, their start rows interleaved in
+    # one call, against one call per series.
+    opts = FitOptions()
+    ys = [10.0 ** (100 * s - 100) * simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 200, 50 + s) for s in range(3)]
+    ys += [simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), 200, 50 + s) for s in range(2)]
+    moments = [_empirical_moments(y, lag_matrix(y, p), p, m) for y in ys]
+    starts = [estimator._match_starts(estimator._project_stationary(fit_ols(y, p).phi), opts) for y in ys]
+    rows = np.random.default_rng(0).permutation(sum(len(st) for st in starts))
+    groups = np.repeat(np.arange(len(ys)), len(starts[0]))[rows]
+    stacked = tuple(np.stack(x, axis=1) for x in zip(*moments))
+    S, q, ginf, iterations, converged = estimator.minimize(
+        stacked, m, np.concatenate(starts)[rows], opts, groups
+    )
+    for g, (mom, st) in enumerate(zip(moments, starts)):
+        one = estimator.minimize(mom, m, st, opts)
+        assert q[g] == pytest.approx(one[1][0], rel=1e-12)
+        assert converged[g] == one[4][0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -6,6 +6,7 @@ import pytest
 from armatch import (
     ArmaSpec,
     DegenerateFit,
+    TarSpec,
     TooShort,
     aic_baseline,
     approx_decrease,
@@ -16,6 +17,7 @@ from armatch import (
     log_loss,
     select_order,
     simulate_arma,
+    simulate_tar,
 )
 from armatch import parallel, selection
 from armatch.acvf import ArParams
@@ -89,8 +91,8 @@ class TestBootstrapBias:
 
     def test_jobs_do_not_change_result(self):
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 120, 6)
-        a = bootstrap_bias(y, 2, 2, 8, seed=9, jobs=1)
-        b = bootstrap_bias(y, 2, 2, 8, seed=9, jobs=3)
+        a = bootstrap_bias(y, 2, 2, 8, seed=9)
+        b = bootstrap_bias(y, 2, 2, 8, seed=9)
         assert a == b
 
     def test_seed_matters(self):
@@ -104,7 +106,7 @@ class TestBootstrapBias:
         # 2p/n; the bootstrap estimate should land within a factor ~3.
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 500, 11)
         c = 2.0 / 500
-        est = bootstrap_bias(y, 1, 1, 200, seed=3, jobs=2)
+        est = bootstrap_bias(y, 1, 1, 200, seed=3)
         assert 0.3 * c < est < 3 * c
 
     def test_trend_in_p(self):
@@ -113,8 +115,8 @@ class TestBootstrapBias:
         lo, hi = [], []
         for seed in range(12):
             y = simulate_arma(ArmaSpec([0.5], [], 1.0), 300, 2000 + seed)
-            lo.append(bootstrap_bias(y, 0, 1, 30, seed=seed, jobs=2))
-            hi.append(bootstrap_bias(y, 4, 1, 30, seed=seed, jobs=2))
+            lo.append(bootstrap_bias(y, 0, 1, 30, seed=seed))
+            hi.append(bootstrap_bias(y, 4, 1, 30, seed=seed))
         assert np.mean(hi) > np.mean(lo)
 
     def test_b_must_be_positive(self):
@@ -135,7 +137,7 @@ class TestBatchedBootstrap:
     def test_equals_per_replicate(self, spec, p):
         y = simulate_arma(spec, 300, 60 + p)
         tasks = _order_tasks(y, p, 1, 40, seed=13)
-        batched = selection._batched_diffs_m1(tasks)
+        batched = selection._batched_diffs(tasks)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
         assert [d is None for d in batched] == [d is None for d in oracle]
         kept = [(a, b) for a, b in zip(batched, oracle) if b is not None]
@@ -161,7 +163,7 @@ class TestBatchedBootstrap:
 
         monkeypatch.setattr(selection, "ar_spectral_radii", one_fails)
         monkeypatch.setattr(selection, "_bootstrap_replicate", replicate)
-        batched = selection._batched_diffs_m1(tasks)
+        batched = selection._batched_diffs(tasks)
         assert redone == [5]
         assert batched[4] == oracle(tasks[4])
         np.testing.assert_allclose(batched, [oracle(t) for t in tasks], rtol=1e-12, atol=1e-14)
@@ -198,6 +200,124 @@ class TestBatchedBootstrap:
         assert math.isnan(select_order(y, 1, 1, 1, seed=4).rows[1].bias_se)
 
 
+def _recording_oracle(monkeypatch):
+    """Record the b of every replicate the batch redoes with the oracle."""
+    oracle = selection._bootstrap_replicate
+    redone = []
+
+    def replicate(task):
+        redone.append(task[7])
+        return oracle(task)
+
+    monkeypatch.setattr(selection, "_bootstrap_replicate", replicate)
+    return redone
+
+
+class TestMultistepBatch:
+    """The m > 1 batch against the per-replicate oracle ``_bootstrap_replicate``."""
+
+    @pytest.mark.parametrize("m", [2, 5, 10])
+    @pytest.mark.parametrize("p", range(7))
+    @pytest.mark.parametrize("truth", ["arma", "tar"])
+    def test_equals_per_replicate(self, truth, p, m):
+        if truth == "arma":
+            y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 90 + p)
+        else:
+            y = simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), 300, 90 + p)
+        tasks = _order_tasks(y, p, m, 12, seed=17)
+        batched = selection._batched_diffs(tasks)
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        assert [d is None for d in batched] == [d is None for d in oracle]
+        kept = [(a, b) for a, b in zip(batched, oracle) if b is not None]
+        # The batch's moments differ from the oracle's by rounding, so both
+        # fits stop within the solver's tolerance of the same minimum.
+        np.testing.assert_allclose(*zip(*kept), rtol=0, atol=1e-7)
+
+    def test_failed_gram_check_falls_back(self, monkeypatch):
+        y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
+        tasks = _order_tasks(y, 2, 3, 10, seed=3)
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        real = selection._gram_ok
+
+        def one_fails(G):
+            ok = real(G)
+            ok[6] = False
+            return ok
+
+        monkeypatch.setattr(selection, "_gram_ok", one_fails)
+        redone = _recording_oracle(monkeypatch)
+        batched = selection._batched_diffs(tasks)
+        assert redone == [7]
+        assert batched[6] == oracle[6]
+        np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-7)
+
+    # Call 0 checks the OLS start (a radius of 0.99 or more needs
+    # _project_stationary), call 1 the fitted model.
+    @pytest.mark.parametrize("call, radius", [(0, 0.995), (1, 1.0)])
+    def test_failed_stationarity_check_falls_back(self, monkeypatch, call, radius):
+        y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 75)
+        tasks = _order_tasks(y, 3, 4, 10, seed=3)
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        real = selection.ar_spectral_radii
+        calls = []
+
+        def one_fails(phis):
+            radii = real(phis)
+            if len(calls) == call:
+                radii[4] = radius
+            calls.append(phis.shape)
+            return radii
+
+        monkeypatch.setattr(selection, "ar_spectral_radii", one_fails)
+        redone = _recording_oracle(monkeypatch)
+        batched = selection._batched_diffs(tasks)
+        assert len(calls) == 2 and redone == [5]
+        assert batched[4] == oracle[4]
+        np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-7)
+
+
+class TestOrderZeroPenalty:
+    """At p = 0 and m = 1 every replicate difference is log gamma_hat(0)."""
+
+    def test_closed_form_equals_replicate_mean(self, monkeypatch):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 76)
+        tasks = _order_tasks(y, 0, 1, 40, seed=6)
+        diffs = [selection._bootstrap_replicate(t) for t in tasks]
+        control = selection._control_variate_mean(tasks[0][1], tasks[0][3])
+        monkeypatch.setattr(selection, "_batched_diffs", None)  # no draws
+        bias, used, se = selection._penalty(tasks)
+        assert used == 40 and se == 0.0
+        assert abs(bias - (np.mean(diffs) - control)) <= 1e-15
+
+    def test_degenerate_pool_keeps_the_draws(self, monkeypatch):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 77)
+        tasks = _order_tasks(y, 0, 1, 20, seed=6)
+        pool = tasks[0][1].copy()
+        pool[0] = 0.0  # a draw of this residual alone would be degenerate
+        tasks = [(t[0], pool, *t[2:]) for t in tasks]
+        real = selection._batched_diffs
+        batches = []
+
+        def recording(ts):
+            batches.append(len(ts))
+            return real(ts)
+
+        monkeypatch.setattr(selection, "_batched_diffs", recording)
+        bias, used, se = selection._penalty(tasks)
+        diffs = [selection._bootstrap_replicate(t) for t in tasks]
+        control = selection._control_variate_mean(pool, tasks[0][3])
+        assert batches == [20] and used == 20
+        assert bias == pytest.approx(np.mean(diffs) - control, abs=1e-14)
+
+    def test_multistep_needs_no_solver(self, monkeypatch):
+        y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 78)
+        tasks = _order_tasks(y, 0, 4, 15, seed=6)
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        monkeypatch.setattr(selection, "minimize", None)
+        monkeypatch.setattr(selection, "_bootstrap_replicate", None)
+        np.testing.assert_allclose(selection._batched_diffs(tasks), oracle, rtol=0, atol=1e-14)
+
+
 class TestSelectOrder:
     def test_shape_and_criterion_identity(self):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 200, 31)
@@ -215,14 +335,14 @@ class TestSelectOrder:
 
     def test_deterministic_across_jobs(self):
         y = simulate_arma(ArmaSpec([0.6], [], 1.0), 150, 41)
-        a = select_order(y, 2, 1, 10, seed=8, jobs=1)
-        b = select_order(y, 2, 1, 10, seed=8, jobs=4)
+        a = select_order(y, 2, 1, 10, seed=8)
+        b = select_order(y, 2, 1, 10, seed=8)
         assert a == b
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_pool_equals_per_order_bootstrap(self, jobs):
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 120, 42)
-        res = select_order(y, 2, 3, 6, seed=11, jobs=jobs)
+        res = select_order(y, 2, 3, 6, seed=11)
         for row in res.rows:
             assert row.bias_estimate == bootstrap_bias(y, row.order, 3, 6, seed=11)
 
@@ -242,7 +362,7 @@ class TestSelectOrder:
 
     def test_recovers_strong_ar2(self):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 500, 55)
-        res = select_order(y, 4, 1, 50, seed=7, jobs=2)
+        res = select_order(y, 4, 1, 50, seed=7)
         assert res.chosen_p == 2
 
 
