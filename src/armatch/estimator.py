@@ -247,13 +247,66 @@ def minimize(moments, m, starts, opts, groups=None):
     return S[pick], q[pick] * scale, ginf[pick] * scale, total, converged[pick]
 
 
+def _ols_or_none(y, p):
+    """``fit_ols(y, p)``, or None where it raises SingularDesign or TooShort."""
+    try:
+        return fit_ols(y, p)
+    except (SingularDesign, TooShort):
+        return None
+
+
+def _fit_match_stack(Y, p, m, opts):
+    """``fit_match(y, p, m, opts)`` on its iterative path, for every row y
+    of a stack Y (G, n) of equal-length finite series, p >= 1, in one
+    ``minimize`` call: one group per series, on the stacked empirical
+    moments.
+
+    Each series gets the start rows ``fit_match`` gives it (its OLS
+    solution, or zeros where OLS raises SingularDesign or TooShort,
+    projected inside _START_RADIUS, plus the jittered copies), and back the
+    same FitResult, bit for bit: every step of the solver acts on each row
+    alone, so a series' result does not depend on the others in its stack.
+    """
+    G = Y.shape[0]
+    X = lag_matrix(Y, p)
+    phi0 = []
+    for y in Y:
+        ols = _ols_or_none(y, p)
+        phi0.append(_project_stationary(ols.phi if ols is not None else np.zeros(p)))
+    starts = _match_starts(np.array(phi0), opts)
+    groups = np.repeat(np.arange(G), starts.shape[1])
+    # A lone series' moments go in unstacked: minimize's shared-moment form
+    # skips the per-row indexing and solves faster.
+    moments = _empirical_moments(Y, X, p, m) if G > 1 else _empirical_moments(Y[0], X[0], p, m)
+    S, _, grad_inf, iterations, converged = minimize(moments, m, starts.reshape(-1, p), opts, groups)
+    fits = []
+    for y, Xg, s, ginf, iters, conv in zip(Y, X, S, grad_inf, iterations, converged):
+        phi = pacf_to_ar(np.tanh(s))
+        resid = y[p:] - Xg @ phi
+        model = ArParams(phi, float(resid @ resid) / resid.shape[0])
+        fits.append(
+            FitResult(
+                model,
+                empirical_q(y, model, m),
+                m,
+                p,
+                iterations=int(iters),
+                restarts=starts.shape[1] - 1,
+                converged=bool(conv),
+                grad_norm=float(ginf),
+            )
+        )
+    return fits
+
+
 def fit_match(series, p, m, opts=None):
     """Minimize the up-to-m-step prediction criterion over stationary AR(p).
 
     Multi-start, one batch: the (projected) OLS solution plus
     ``opts.extra_starts`` deterministic jittered copies.  Never raises on
     a hard instance: if no start converges the best point found is
-    returned with ``converged=False``.
+    returned with ``converged=False``.  Past the p = 0 and m = 1 closed
+    forms this is the one-series call of ``_fit_match_stack``.
     """
     _check_orders(p, m)
     opts = opts or FitOptions()
@@ -263,35 +316,15 @@ def fit_match(series, p, m, opts=None):
     if p == 0:
         model = ArParams(np.zeros(0), float(y @ y) / n)
         return FitResult(model, empirical_q(y, model, m), m, 0)
-
-    X = lag_matrix(y, p)
-    target = y[p:]
-    try:
-        ols = fit_ols(y, p)
-    except (SingularDesign, TooShort):
-        ols = None
-    if m == 1 and ols is not None and ar_spectral_radius(ols.phi) < 1.0:
-        # At m = 1 the criterion is exactly the conditional least-squares
-        # quadratic, so a stationary OLS solution is the exact minimizer
-        # over the (open) stationary region; skip the iterative solver.
-        q, g = _q_impl(y, X, ols.phi, 1, want_grad=True)
-        return FitResult(ols, q, 1, p, converged=True, grad_norm=float(np.max(np.abs(g))))
-
-    starts = _match_starts(_project_stationary(ols.phi if ols is not None else np.zeros(p)), opts)
-    s, q, ginf, iters, converged = (x[0] for x in minimize(_empirical_moments(y, X, p, m), m, starts, opts))
-    phi = pacf_to_ar(np.tanh(s))
-    resid = target - X @ phi
-    model = ArParams(phi, float(resid @ resid) / resid.shape[0])
-    return FitResult(
-        model,
-        empirical_q(y, model, m),
-        m,
-        p,
-        iterations=int(iters),
-        restarts=len(starts) - 1,
-        converged=bool(converged),
-        grad_norm=float(ginf),
-    )
+    if m == 1:
+        ols = _ols_or_none(y, p)
+        if ols is not None and ar_spectral_radius(ols.phi) < 1.0:
+            # At m = 1 the criterion is exactly the conditional least-squares
+            # quadratic, so a stationary OLS solution is the exact minimizer
+            # over the (open) stationary region; skip the iterative solver.
+            q, g = _q_impl(y, lag_matrix(y, p), ols.phi, 1, want_grad=True)
+            return FitResult(ols, q, 1, p, converged=True, grad_norm=float(np.max(np.abs(g))))
+    return _fit_match_stack(y[None], p, m, opts)[0]
 
 
 def fit_ideal(truth, p, m, opts=None):

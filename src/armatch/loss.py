@@ -29,11 +29,14 @@ __all__ = ["empirical_q", "empirical_q_gradient", "population_q", "lag_matrix"]
 def lag_matrix(y, p):
     """Rows (y_t, y_{t-1}, ..., y_{t-p+1}) for t = p..n-1 (0-based t = p-1..n-2).
 
-    Shape (n - p, p).  Row i predicts y at index p + i (+ horizon - 1).
+    Shape (n - p, p) for one series y (n,), (B, n - p, p) for a stack
+    (B, n); always a fresh C-contiguous array, so a stack's slice X[b] is
+    laid out, and multiplies, exactly as the one-series matrix.  Row i
+    predicts y at index p + i (+ horizon - 1).
     """
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    return np.column_stack([y[p - 1 - j: n - 1 - j] for j in range(p)])
+    n = y.shape[-1]
+    return np.stack([y[..., p - 1 - j: n - 1 - j] for j in range(p)], axis=-1)
 
 
 def _finite_series(series):

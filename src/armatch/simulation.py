@@ -2,10 +2,15 @@
 
 All randomness flows through counter-based generators keyed by
 ``mix_seed``: replicate r of an experiment simulates with
-mix(base_seed, r), so results are identical for any worker count.
+mix(base_seed, r).  The runner splits the replicates into contiguous
+blocks, one task of the worker pool each, and fits each multi-step
+estimator on all of a block's series in one batched solve; a series' fit
+does not depend on the others in its batch, so results are identical for
+any block composition and any worker count.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +19,8 @@ from scipy.signal import lfilter
 from .acvf import ArmaSpec, arma_acvf
 from .companion import ar_spectral_radius
 from .errors import ArMatchError, NonStationary
-from .estimator import fit_match, fit_ols
-from .loss import empirical_q, population_q
+from .estimator import FitOptions, _fit_match_stack, fit_match, fit_ols
+from .loss import _check_length, _finite_series, empirical_q, population_q
 from .parallel import parallel_map
 from .seeding import mix_seed, rng_from
 
@@ -31,6 +36,10 @@ __all__ = [
 ]
 
 REPORT_COLUMNS = ["replicate", "estimator", "p", "m", "score", "converged", "chosen_p"]
+
+# Most replicates in one block: a block holds all its series, and their
+# multi-step fits run as one batch, so this bounds the memory of a task.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,9 @@ def simulate_tar(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
     y_t = sum_j phi_j y_{t-j} + eps_t, with phi = ``phi_low`` when
     y_{t-delay} <= ``threshold`` and ``phi_high`` otherwise; both are
     zero-padded to p = max(orders, delay).  Deterministic per
-    (spec, n, seed, burnin, dist, t_df).
+    (spec, n, seed, burnin, dist, t_df).  Stationary regimes do not make
+    the switched process stationary: a path that diverges (a non-finite
+    value) raises NonStationary.
 
     The recursion runs over Python floats, and its summation order is part
     of the output's byte-identity contract: each step sums phi_j * y_{t-j}
@@ -160,28 +171,29 @@ def simulate_tar(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
     window of earlier versions, so paths are bit-identical to theirs.
     ``sum()`` (compensated since Python 3.12), ``math.fsum`` (correctly
     rounded) and a BLAS dot on a contiguous window (fused multiply-adds,
-    other blocking) each round differently and are not used.
+    other blocking) each round differently and are not used.  The history
+    is the output list itself, starting with p zeros, read at negative
+    indices: the pairs (phi_j, -j) of each regime.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = max(spec.phi_low.shape[0], spec.phi_high.shape[0], spec.delay)
     rng = rng_from(seed)
     eps = _innovations(rng, burnin + n, spec.sigma2, dist, t_df)
-    lo = np.concatenate([spec.phi_low, np.zeros(p - spec.phi_low.shape[0])]).tolist()
-    hi = np.concatenate([spec.phi_high, np.zeros(p - spec.phi_high.shape[0])]).tolist()
-    threshold, lag = spec.threshold, spec.delay - 1
-    window = [0.0] * p  # [y_{t-1}, ..., y_{t-p}]
-    out = []
+    lags = range(-1, -p - 1, -1)
+    lo = list(zip(np.concatenate([spec.phi_low, np.zeros(p - spec.phi_low.shape[0])]).tolist(), lags))
+    hi = list(zip(np.concatenate([spec.phi_high, np.zeros(p - spec.phi_high.shape[0])]).tolist(), lags))
+    threshold, delay = spec.threshold, -spec.delay
+    out = [0.0] * p  # y_{-p}, ..., y_{-1}, then the path
     for e in eps.tolist():
-        phi = lo if window[lag] <= threshold else hi
         s = 0.0
-        for a, w in zip(phi, window):
-            s += a * w
-        y = s + e
-        out.append(y)
-        window.insert(0, y)
-        window.pop()
-    return np.array(out[burnin:])
+        for a, j in lo if out[delay] <= threshold else hi:
+            s += a * out[j]
+        out.append(s + e)
+    y = np.array(out[p + burnin:])
+    if not np.all(np.isfinite(y)):
+        raise NonStationary("TAR path diverged: non-finite value")
+    return y
 
 
 def _truth_gamma(plan):
@@ -197,10 +209,15 @@ def _simulate_truth(plan, seed):
     return simulate_tar(plan.truth, plan.n, seed, dist=plan.innovations, t_df=plan.t_df)
 
 
-def _run_replicate(args):
+def _run_replicate(args, y=None, fits=None):
+    """The report rows of replicate r, for args = (plan, r, gamma).  ``y``
+    is its simulated series and ``fits`` its ``fit_match`` results keyed by
+    (p, m), where a block has computed them; the rest is computed here."""
     plan, r, gamma = args
     m_eval = max(plan.eval_horizons)
-    y = _simulate_truth(plan, mix_seed(plan.base_seed, r))
+    if y is None:
+        y = _simulate_truth(plan, mix_seed(plan.base_seed, r))
+    fits = fits or {}
     if gamma is None:
         # TAR truth: no closed-form gamma; score on a long held-out path
         # (seed offset by the replicate count so streams never collide).
@@ -218,7 +235,7 @@ def _run_replicate(args):
             converged = model.is_stationary
             m_fit = 1
         else:
-            fr = fit_match(y, est.p, est.m)
+            fr = fits.get((est.p, est.m)) or fit_match(y, est.p, est.m)
             model = fr.model
             converged = fr.converged
             m_fit = est.m
@@ -270,12 +287,19 @@ def run_experiment(plan, jobs=1):
     ARMA truths are scored by the population criterion under the true
     autocovariances at the plan's evaluation horizons; TAR truths by the
     empirical criterion on an independent held-out path of length 10n.
+    The replicates run in contiguous blocks (see ``_run_block``), at least
+    one per worker and at most _BLOCK long; ``jobs`` worker processes share
+    the blocks.  The report does not depend on ``jobs`` or on the blocks.
     """
     gamma = _truth_gamma(plan)
-    tasks = [(plan, r, gamma) for r in range(plan.replicates)]
+    workers = max(1, min(jobs or 1, os.cpu_count() or 1))
+    size = min(_BLOCK, -(-plan.replicates // workers))
+    blocks = [(plan, range(lo, min(lo + size, plan.replicates)), gamma)
+              for lo in range(0, plan.replicates, size)]
     failures = []
     rows = []
-    for r, result in enumerate(parallel_map(_run_replicate_safe, tasks, jobs)):
+    results = (result for block in parallel_map(_run_block, blocks, jobs) for result in block)
+    for r, result in enumerate(results):
         if isinstance(result, str):
             failures.append({"replicate": r, "error": result})
         else:
@@ -290,11 +314,45 @@ def run_experiment(plan, jobs=1):
     return ExperimentReport(rows=tuple(rows), summary=summary)
 
 
-def _run_replicate_safe(args):
+def _run_replicate_safe(args, y=None, fits=None):
     try:
-        return _run_replicate(args)
+        return _run_replicate(args, y, fits)
     except (ArMatchError, np.linalg.LinAlgError) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _run_block(args):
+    """``[_run_replicate_safe((plan, r, gamma)) for r in block]`` for
+    args = (plan, block, gamma), with the multi-step fits batched.
+
+    The block simulates its replicates' series first; then each ``match``
+    estimator with p >= 1 and m > 1 fits all of them in one
+    ``_fit_match_stack`` call, which gives each series the result
+    ``fit_match`` would.  A replicate whose simulation raises, and every
+    replicate of a batched call that raises, is left to ``_run_replicate``
+    to simulate or fit on its own, so only the replicate at fault fails,
+    with its own message.
+    """
+    plan, block, gamma = args
+    series = {}
+    for r in block:
+        try:
+            series[r] = _simulate_truth(plan, mix_seed(plan.base_seed, r))
+        except ArMatchError:
+            pass
+    fits = {r: {} for r in series}
+    orders = dict.fromkeys((e.p, e.m) for e in plan.estimators if e.kind == "match" and e.p and e.m > 1)
+    if series:
+        Y = np.array(list(series.values()))
+        for p, m in orders:
+            try:
+                _check_length(plan.n, p, m)
+                batch = _fit_match_stack(_finite_series(Y), p, m, FitOptions())
+            except (ArMatchError, ValueError, np.linalg.LinAlgError):
+                continue
+            for r, fit in zip(series, batch):
+                fits[r][p, m] = fit
+    return [_run_replicate_safe((plan, r, gamma), series.get(r), fits.get(r)) for r in block]
 
 
 def _est_index(plan, name):

@@ -311,6 +311,22 @@ class TestExperiment:
         assert err.startswith(f"error: estimator 'multi_step': bad token {token!r}")
         assert "Traceback" not in err
 
+    def test_diverging_tar_truth_exit_1_without_traceback(self, tmp_path, capsys):
+        # Both regimes are stationary, but the switched process diverges:
+        # every replicate's held-out path overflows, which is a runtime
+        # failure of the replicates, not a usage error.
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text(
+            "[truth]\nmodel = tar\nphi_low = 1.18558561,-0.54277853\n"
+            "phi_high = -1.05493674,-0.4191051\nthreshold = 0\ndelay = 2\n\n"
+            "[run]\nn = 400\nreplicates = 4\nhorizons = 1,2\n\n"
+            "[estimators]\nm2 = match p=2 m=2\n"
+        )
+        code = main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: 4/4 replicates failed: NonStationary: TAR path diverged: non-finite value\n"
+
     def test_missing_config_exit_1(self, tmp_path):
         code = main(["experiment", "--config", str(tmp_path / "nope.ini"),
                      "--output", str(tmp_path / "o")])

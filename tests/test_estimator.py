@@ -288,6 +288,38 @@ def test_grouped_minimize_equals_one_call_per_group(p, m):
         assert converged[g] == one[4][0]
 
 
+def _same_fit(a, b):
+    """FitResult equality field for field, bit for bit."""
+    return (
+        a.model.phi.tobytes() == b.model.phi.tobytes()
+        and repr(a.model.sigma2) == repr(b.model.sigma2)
+        and repr(a.q_value) == repr(b.q_value)
+        and (a.m, a.order, a.iterations, a.restarts, a.converged) == (b.m, b.order, b.iterations, b.restarts, b.converged)
+        and repr(a.grad_norm) == repr(b.grad_norm)
+    )
+
+
+@pytest.mark.parametrize("kind", ["tar", "arma11"])
+@pytest.mark.parametrize("n", [60, 400])
+def test_stacked_fit_equals_fit_match_bit_for_bit(kind, n):
+    # Four series per stack, p in {1, 2, 3, 5, 8}, m in {2, 5, 10}: the
+    # stacked fit gives every series the FitResult of its own fit_match
+    # call, and a subset of the stack gives the same bits as the whole.
+    if kind == "tar":
+        Y = np.array([simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, 100 + s) for s in range(4)])
+    else:
+        Y = np.array([simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 100 + s) for s in range(4)])
+    opts = FitOptions()
+    for p in (1, 2, 3, 5, 8):
+        for m in (2, 5, 10):
+            full = estimator._fit_match_stack(Y, p, m, opts)
+            for y, fit in zip(Y, full):
+                assert _same_fit(fit, fit_match(y, p, m)), (p, m)
+            for rows in ([1, 2], [3, 0], [2]):
+                for fit, g in zip(estimator._fit_match_stack(Y[rows], p, m, opts), rows):
+                    assert _same_fit(fit, full[g]), (p, m, rows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

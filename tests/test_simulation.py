@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armatch.estimator as estimator
 import armatch.simulation as simulation
 from armatch import (
+    ArMatchError,
     ArmaSpec,
     EstimatorSpec,
     ExperimentPlan,
@@ -36,6 +38,15 @@ def simulate_tar_numpy(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
         phi = lo if buf[i - spec.delay] <= spec.threshold else hi
         buf[i] = phi @ window + eps[t]
     return buf[p + burnin:]
+
+
+EXPLOSIVE_TAR = TarSpec([1.18558561, -0.54277853], [-1.05493674, -0.4191051], 0.0, 2, 1.0)
+
+
+def _oracle_rows(plan):
+    """The report rows one _run_replicate call per replicate gives."""
+    gamma = simulation._truth_gamma(plan)
+    return [row for r in range(plan.replicates) for row in simulation._run_replicate((plan, r, gamma))]
 
 
 class TestSimulateArma:
@@ -176,6 +187,11 @@ class TestSimulateTar:
         got = simulate_tar(spec, n, seed, burnin=burnin, dist=dist)
         assert got.tobytes() == simulate_tar_numpy(spec, n, seed, burnin=burnin, dist=dist).tobytes()
 
+    def test_diverging_path_raises_nonstationary(self):
+        # Both regimes are stationary, but the switched process diverges.
+        with pytest.raises(NonStationary, match="TAR path diverged: non-finite value"):
+            simulate_tar(EXPLOSIVE_TAR, 4000, 1)
+
     def test_bad_delay_rejected(self):
         with pytest.raises(ValueError):
             TarSpec([0.5], [0.3], 0.0, 0, 1.0)
@@ -293,6 +309,86 @@ class TestRunExperiment:
         assert report.summary["failed"] == 1
         assert report.summary["failures"] == [{"replicate": 1, "error": "LinAlgError: Singular matrix"}]
         assert [r["replicate"] for r in report.rows] == [0] + list(range(2, 12))
+
+    @pytest.mark.parametrize("kind", ["arma", "tar", "selection"])
+    def test_blocks_equal_one_replicate_at_a_time(self, kind):
+        estimators = (
+            EstimatorSpec("ols2", "ols", 2),
+            EstimatorSpec("m1", "match", 2, 1),
+            EstimatorSpec("m3", "match", 2, 3),
+            EstimatorSpec("m5", "match", 3, 5),
+            EstimatorSpec("m3_again", "match", 2, 3),
+            EstimatorSpec("p0", "match", 0, 4),
+        )
+        kw = dict(estimators=estimators, replicates=5, eval_horizons=(1, 2, 3, 4, 5))
+        if kind == "tar":
+            kw["truth"] = TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0)
+        if kind == "selection":
+            kw["selection"] = SelectionSettings(p_max=2, m=2, B=4)
+        plan = self._tiny_plan(**kw)
+        assert repr(run_experiment(plan).rows) == repr(tuple(_oracle_rows(plan)))
+
+    def test_bytes_do_not_depend_on_jobs_or_blocks(self, monkeypatch):
+        plan = self._tiny_plan(
+            truth=TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0),
+            replicates=7,
+            estimators=(EstimatorSpec("m3", "match", 2, 3), EstimatorSpec("ols1", "ols", 1)),
+        )
+        reports = [repr(run_experiment(plan, jobs=jobs)) for jobs in (1, 2, 3)]
+        monkeypatch.setattr(simulation, "_BLOCK", 3)  # 7 replicates in blocks of 3, 3 and 1
+        reports += [repr(run_experiment(plan, jobs=jobs)) for jobs in (1, 2)]
+        assert reports[1:] == reports[:1] * 4
+
+    def test_failure_inside_batched_fit_fails_one_replicate(self, monkeypatch):
+        real = estimator.fit_ols
+
+        def fails_on_replicate_1(y, p):
+            if y[0] == first_y[1]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(y, p)
+
+        plan = self._tiny_plan(replicates=12, estimators=(EstimatorSpec("m2", "match", 1, 2),))
+        expected = run_experiment(plan).rows
+        first_y = [simulation._simulate_truth(plan, simulation.mix_seed(11, r))[0] for r in range(12)]
+        batches = []
+        real_stack = simulation._fit_match_stack
+        monkeypatch.setattr(simulation, "_fit_match_stack", lambda Y, *a: batches.append(len(Y)) or real_stack(Y, *a))
+        monkeypatch.setattr(estimator, "fit_ols", fails_on_replicate_1)
+        report = run_experiment(plan)
+        assert batches == [12]  # the batched call ran, and raised
+        assert report.summary["failures"] == [{"replicate": 1, "error": "LinAlgError: Singular matrix"}]
+        assert report.rows == tuple(row for row in expected if row["replicate"] != 1)
+
+    def test_diverging_tar_replicates_recorded_as_failures(self, monkeypatch):
+        # Replicate 1's series and replicate 5's held-out path diverge: the
+        # first fails in its block's simulation, the second in its replicate.
+        real = simulation.simulate_tar
+
+        def explosive(spec, n, seed, **kw):
+            if seed in diverging:
+                return real(EXPLOSIVE_TAR, n, seed, burnin=4000, **kw)
+            return real(spec, n, seed, **kw)
+
+        plan = self._tiny_plan(
+            truth=TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0),
+            replicates=20,
+            estimators=(EstimatorSpec("m2", "match", 2, 2),),
+        )
+        diverging = {simulation.mix_seed(11, 1), simulation.mix_seed(11, 20 + 5)}
+        monkeypatch.setattr(simulation, "simulate_tar", explosive)
+        report = run_experiment(plan)
+        error = "NonStationary: TAR path diverged: non-finite value"
+        assert report.summary["failures"] == [{"replicate": 1, "error": error}, {"replicate": 5, "error": error}]
+        assert sorted({r["replicate"] for r in report.rows}) == [0, 2, 3, 4] + list(range(6, 20))
+
+    def test_diverging_tar_truth_fails_the_experiment(self):
+        # The n = 400 series stay finite (near 1e75); the 4000-long
+        # held-out paths diverge.
+        plan = self._tiny_plan(
+            truth=EXPLOSIVE_TAR, n=400, replicates=4, estimators=(EstimatorSpec("m2", "match", 2, 2),)
+        )
+        with pytest.raises(ArMatchError, match="4/4 replicates failed: NonStationary: TAR path diverged"):
+            run_experiment(plan)
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
