@@ -16,14 +16,15 @@ gradient in phi for either source in O(m p^2), independent of the series
 length, for one coefficient vector or a stack of them; the fits optimize
 through it.  ``empirical_q`` instead sums the residuals directly, which
 stays accurate when Q is far below s_k.  Series are treated as mean-zero:
-nothing here ever centers the data.
+nothing here ever centers the data.  ``ar_filter`` runs the AR recursion
+itself on the same table: the impulse response is h_k = alpha_k[0].
 """
 
 import numpy as np
 
 from .errors import InsufficientLags, NonStationary, TooShort
 
-__all__ = ["empirical_q", "empirical_q_gradient", "population_q", "lag_matrix"]
+__all__ = ["empirical_q", "empirical_q_gradient", "population_q", "lag_matrix", "ar_filter"]
 
 
 def lag_matrix(y, p):
@@ -63,13 +64,70 @@ def _predictors(phi, m):
 
     One companion step maps a row a to a[0] * phi + (a[1:], 0), so the
     table costs O(m p) per vector.  A[k, ..., 0] holds (C^k)[0, 0].
+
+    One vector steps over Python floats, which costs a fraction of a
+    numpy call per step; each entry is the same product, plus the same
+    addend, so the table equals a stack's row bit for bit.
     """
+    if phi.ndim == 1 and phi.shape[0]:
+        f = phi.tolist()
+        a = [1.0] + [0.0] * (len(f) - 1)
+        rows = [a]
+        for _ in range(m):
+            h = a[0]
+            a = [h * x + b for x, b in zip(f, a[1:])] + [h * f[-1]]
+            rows.append(a)
+        return np.array(rows)
     A = np.zeros((m + 1,) + phi.shape)
     A[0, ..., 0] = 1.0
     for k in range(1, m + 1):
         A[k] = A[k - 1, ..., :1] * phi
         A[k, ..., :-1] += A[k - 1, ..., 1:]
     return A
+
+
+# Steps per block of ``ar_filter``.  Its rounding error grows with the
+# block's impulse and state responses: on AR(8)-AR(10) filters with every
+# PACF value at +-0.995, 16 was about ten times more accurate than 32 and
+# within 8% of its speed on a (100, 540) stack (12 and 48 were slower).
+_FILTER_BLOCK = 16
+
+
+def ar_filter(phi, eps):
+    """The AR recursion y_t = eps_t + sum_j phi_j y_{t-j} from a zero start,
+    along the last axis of ``eps``: one series (N,) or a stack (B, N).
+
+    Blocked on the predictor table A = _predictors(phi, L).  Over a block
+    of L steps starting at t, y_{t+k} = sum_{i<=k} h_{k-i} eps_{t+i} +
+    alpha_{k+1}' (y_{t-1}, ..., y_{t-p}), with h_k = A[k, 0] the impulse
+    response; so each block is one matmul of the window (last p outputs,
+    then the block's innovations) with a fixed (p + L, L) matrix, and the
+    loop over blocks carries the last p outputs.  The output buffer starts
+    as a copy of eps and is overwritten block by block.
+
+    Equal to the recursion up to rounding, which grows with the filter's
+    gain G = sum_k |h_k| (about u G^2 max|y|, u the unit roundoff, where
+    the sequential recursion is nearer u G sum|phi| max|y|): as accurate
+    for a well-damped filter, less so near the unit circle at high order.
+    """
+    phi = np.asarray(phi, dtype=float)
+    y = np.array(eps, dtype=float)
+    p, n = phi.shape[0], y.shape[-1]
+    if p == 0 or n == 0:
+        return y
+    L = max(_FILTER_BLOCK, p)
+    A = _predictors(phi, L)
+    lag = np.arange(L)
+    d = lag - lag[:, None]
+    # Rows: the state (oldest first) -> alpha_1..alpha_L, then the
+    # innovations through h_{j-i} (zero below the diagonal).
+    V = np.concatenate([A[1:, ::-1].T, np.where(d >= 0, A[d, 0], 0.0)])
+    r = min(L, n)
+    y[..., :r] = y[..., :r] @ V[p:p + r, :r]
+    for lo in range(L, n, L):
+        r = min(L, n - lo)
+        y[..., lo:lo + r] = y[..., lo - p:lo + r] @ V[:p + r, :r]
+    return y
 
 
 def _adjoint_grad(phi, A, W):

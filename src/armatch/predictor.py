@@ -7,7 +7,6 @@ in the package relies on that convention.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from .acvf import levinson_solve
 from .errors import InsufficientLags, NonStationary, SingularToeplitz
@@ -67,7 +66,8 @@ def predictor_from_acvf(truth, p, k):
     g = truth.gamma
     # Levinson variance recursion doubles as the singularity probe for Gamma_p.
     levinson_solve(truth, p)
-    alpha = solve_toeplitz(g[:p], g[k: k + p])
+    lags = np.arange(p)
+    alpha = np.linalg.solve(g[np.abs(lags[:, None] - lags)], g[k: k + p])
     if not np.all(np.isfinite(alpha)):
         raise SingularToeplitz("Toeplitz solve produced non-finite coefficients")
     return PredictorCoeffs(alpha, k, p)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 from .acvf import AcvfSeq, ar_acvf
 from .companion import ar_spectral_radii
@@ -31,6 +30,7 @@ from .loss import (
     _moments_q,
     _population_moments,
     _predictors,
+    ar_filter,
     lag_matrix,
     population_q,
 )
@@ -119,10 +119,7 @@ def _simulate_fitted(model, resid_pool, n, rng):
     p = model.order
     burn = _BURNIN_BASE + p
     eps = rng.choice(resid_pool, size=n + burn, replace=True)
-    if p == 0:
-        return eps[burn:], eps[burn:]
-    a = np.concatenate(([1.0], -model.phi))
-    return lfilter([1.0], a, eps)[burn:], eps[burn:]
+    return ar_filter(model.phi, eps)[burn:], eps[burn:]
 
 
 def _subsample_length(n, p, m):
@@ -220,7 +217,7 @@ def _batched_diffs(tasks):
         y, X, phi = eps[:, burn:], None, np.zeros((len(tasks), 0))
         qstar = gamma_hat.gamma[0]
     else:
-        y = lfilter([1.0], np.concatenate(([1.0], -model.phi)), eps, axis=1)[:, burn:]
+        y = ar_filter(model.phi, eps)[:, burn:]
         X = sliding_window_view(y, p, axis=1)[:, : ell - p, ::-1]  # X[b] = lag_matrix(y[b], p)
         Xt = X.transpose(0, 2, 1)
         G = Xt @ X

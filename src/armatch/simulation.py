@@ -10,17 +10,15 @@ any block composition and any worker count.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .acvf import ArmaSpec, arma_acvf
 from .companion import ar_spectral_radius
 from .errors import ArMatchError, NonStationary
 from .estimator import FitOptions, _fit_match_stack, fit_match, fit_ols
-from .loss import _check_length, _finite_series, empirical_q, population_q
+from .loss import _check_length, _finite_series, ar_filter, empirical_q, population_q
 from .parallel import parallel_map
 from .seeding import mix_seed, rng_from
 
@@ -138,7 +136,9 @@ def simulate_arma(spec, n, seed, burnin=200, dist="gaussian", t_df=5.0):
     """Simulate a stationary ARMA path, warmed up and truncated.
 
     Deterministic per (spec, n, seed): innovations come from a Philox
-    generator keyed by ``seed``.
+    generator keyed by ``seed``.  The MA part runs first, as a finite
+    convolution, then the AR recursion (``ar_filter``), both from a zero
+    start.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -148,10 +148,8 @@ def simulate_arma(spec, n, seed, burnin=200, dist="gaussian", t_df=5.0):
     warm = burnin + max(p, q)
     rng = rng_from(seed)
     eps = _innovations(rng, warm + n, spec.sigma2, dist, t_df)
-    b = np.concatenate(([1.0], spec.ma))
-    a = np.concatenate(([1.0], -spec.ar))
-    y = lfilter(b, a, eps)
-    return y[warm:]
+    x = np.convolve(eps, np.concatenate(([1.0], spec.ma)))[: eps.shape[0]]
+    return ar_filter(spec.ar, x)[warm:]
 
 
 def simulate_tar(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
@@ -287,15 +285,15 @@ def run_experiment(plan, jobs=1):
     ARMA truths are scored by the population criterion under the true
     autocovariances at the plan's evaluation horizons; TAR truths by the
     empirical criterion on an independent held-out path of length 10n.
-    The replicates run in contiguous blocks (see ``_run_block``), at least
-    one per worker and at most _BLOCK long; ``jobs`` worker processes share
-    the blocks.  The report does not depend on ``jobs`` or on the blocks.
+    The replicates run in contiguous blocks (see ``_run_block``) as equal
+    as possible and at most _BLOCK long; ``jobs`` worker processes share
+    the blocks, and a run of one block starts no pool.  The report does
+    not depend on ``jobs`` or on the blocks.
     """
     gamma = _truth_gamma(plan)
-    workers = max(1, min(jobs or 1, os.cpu_count() or 1))
-    size = min(_BLOCK, -(-plan.replicates // workers))
-    blocks = [(plan, range(lo, min(lo + size, plan.replicates)), gamma)
-              for lo in range(0, plan.replicates, size)]
+    count = -(-plan.replicates // _BLOCK)
+    bounds = [plan.replicates * i // count for i in range(count + 1)]
+    blocks = [(plan, range(lo, hi), gamma) for lo, hi in zip(bounds, bounds[1:])]
     failures = []
     rows = []
     results = (result for block in parallel_map(_run_block, blocks, jobs) for result in block)

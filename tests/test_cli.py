@@ -331,3 +331,32 @@ class TestExperiment:
         code = main(["experiment", "--config", str(tmp_path / "nope.ini"),
                      "--output", str(tmp_path / "o")])
         assert code == 1
+
+
+RUNTIME_SCRIPT = """\
+import sys
+import armatch, armatch.cli as cli
+
+d, cfg = sys.argv[1], sys.argv[2]
+assert cli.main(["simulate", "--model", "arma", "--ar", "0.5", "--ma", "0.3", "--n", "120",
+                 "--seed", "1", "--output", d + "/y.txt"]) == 0
+for m in ("1", "2"):
+    assert cli.main(["select", "--input", d + "/y.txt", "--max-order", "2", "--steps", m,
+                     "--bootstrap", "5", "--seed", "1", "--output", d + "/sel.json"]) == 0
+assert cli.main(["experiment", "--config", cfg, "--output", d + "/exp"]) == 0
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_runtime_path_imports_no_scipy(tmp_path):
+    # scipy is only a test dependency: the package and every CLI command
+    # must run without it (the filter and the Toeplitz solve are numpy).
+    cfg = tmp_path / "plan.ini"
+    cfg.write_text(EXPERIMENT_CONFIG)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", RUNTIME_SCRIPT, str(tmp_path), str(cfg)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert out.stdout.strip() == "[]"

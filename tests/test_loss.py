@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
+from scipy.signal import lfilter
 
 from armatch import (
     AcvfSeq,
@@ -16,7 +17,15 @@ from armatch import (
     population_q,
     simulate_arma,
 )
-from armatch.loss import _empirical_moments, _moments_q, _population_moments, lag_matrix
+from armatch.loss import (
+    _FILTER_BLOCK,
+    _empirical_moments,
+    _moments_q,
+    _population_moments,
+    _predictors,
+    ar_filter,
+    lag_matrix,
+)
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
@@ -160,6 +169,16 @@ def _predictor_oracle(phi, k):
 
 
 class TestMomentKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phi=st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0), min_size=1, max_size=8),
+        m=st.integers(0, 24),
+    )
+    def test_one_vector_table_equals_stack_row(self, phi, m):
+        phi = np.array(phi)
+        stacked = _predictors(np.stack([phi, phi[::-1]]), m)[:, 0]
+        assert _predictors(phi, m).tobytes() == stacked.tobytes()
+
     def test_empirical_moments_match_residual_path(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
@@ -232,3 +251,70 @@ def test_empirical_q_scale_equivariance(seed, p, m, scale):
     g_scaled = empirical_q_gradient(scale * y, model, m)
     tol = 1e-10 * scale ** 2 * max(np.max(np.abs(g)), q)
     assert np.max(np.abs(g_scaled - scale ** 2 * g)) <= tol
+
+
+def _filter_tol(phi, n, floor):
+    """``floor`` (relative to max|y|), or the conditioning term when larger.
+
+    Any two float64 evaluations of the recursion differ by more than 1e-12
+    relative once the filter is badly conditioned: lfilter itself is 1e-9
+    off an extended-precision recursion at AR(10) with every PACF value at
+    +-0.995.  ``ar_filter`` stays within 0.7 u G^2 of lfilter over such
+    filters (G = sum_{k<n} |h_k|, u = 2.2e-16); 1e-15 G^2 leaves a margin,
+    and for a filter with G < 30 the floor is the binding term."""
+    h = lfilter([1.0], np.r_[1.0, -phi], np.eye(1, n)[0])
+    return max(floor, 1e-15 * np.sum(np.abs(h)) ** 2)
+
+
+class TestArFilter:
+    # Lengths around block boundaries, besides arbitrary ones.
+    EDGES = [k * _FILTER_BLOCK + d for k in (1, 2, 5) for d in (-1, 0, 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pacf=st.lists(st.floats(-0.995, 0.995), min_size=0, max_size=10),
+        n=st.one_of(st.integers(1, 700), st.sampled_from(EDGES)),
+        rows=st.sampled_from([None, 1, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lfilter(self, pacf, n, rows, seed):
+        phi = pacf_to_ar(pacf)
+        eps = np.random.default_rng(seed).standard_normal(n if rows is None else (rows, n))
+        ref = lfilter([1.0], np.r_[1.0, -phi], eps, axis=-1)
+        got = ar_filter(phi, eps)
+        assert got.shape == eps.shape
+        assert np.max(np.abs(got - ref)) <= _filter_tol(phi, n, 1e-12) * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pacf=st.lists(st.floats(-0.995, 0.995), min_size=1, max_size=10),
+        n=st.one_of(st.integers(1, 700), st.sampled_from(EDGES)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_match_one_series(self, pacf, n, seed):
+        phi = pacf_to_ar(pacf)
+        eps = np.random.default_rng(seed).standard_normal((5, n))
+        stack = ar_filter(phi, eps)
+        tol = _filter_tol(phi, n, 1e-13)
+        for b in range(eps.shape[0]):
+            row = ar_filter(phi, eps[b])
+            assert np.max(np.abs(stack[b] - row)) <= tol * np.max(np.abs(row))
+
+    def test_hand_recursion(self):
+        # y0 = 1, y1 = 0.5, y2 = 0.5 * 0.5 - 0.25 * 1 + 2 = 2.
+        y = ar_filter(np.array([0.5, -0.25]), np.array([1.0, 0.0, 2.0]))
+        assert y.tolist() == [1.0, 0.5, 2.0]
+
+    def test_order_beyond_block(self):
+        p = 2 * _FILTER_BLOCK + 3
+        phi = pacf_to_ar(np.random.default_rng(1).uniform(-0.5, 0.5, p))
+        eps = np.random.default_rng(2).standard_normal((2, 300))
+        ref = lfilter([1.0], np.r_[1.0, -phi], eps, axis=-1)
+        assert np.max(np.abs(ar_filter(phi, eps) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_fresh_output_and_input_untouched(self):
+        eps = np.arange(40.0)
+        for phi in (np.zeros(0), np.array([0.3])):
+            y = ar_filter(phi, eps)
+            assert not np.shares_memory(y, eps)
+        assert eps.tolist() == list(range(40))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 import armatch.estimator as estimator
+import armatch.parallel as parallel
 import armatch.simulation as simulation
 from armatch import (
     ArMatchError,
@@ -95,6 +97,23 @@ class TestSimulateArma:
     def test_student_t_variance_scaled(self):
         y = simulate_arma(ArmaSpec([], [], 2.0), 200_000, 5, dist="t", t_df=6.0)
         assert abs(float(np.var(y)) - 2.0) < 0.1
+
+    @pytest.mark.parametrize("ar, ma", [
+        ([0.5], [0.3]),
+        ([0.8], [-0.5]),
+        ([0.6, -0.3, 0.1], [0.4, 0.2]),
+        ([0.995], [0.9]),
+        ([], [0.7, -0.2]),
+        ([1.8, -0.9], []),
+    ])
+    def test_matches_lfilter_on_same_innovations(self, ar, ma):
+        spec = ArmaSpec(ar, ma, 2.0)
+        n, burnin, seed = 700, 50, 31
+        warm = burnin + max(len(ar), len(ma))
+        eps = simulation._innovations(rng_from(seed), warm + n, 2.0)
+        ref = lfilter(np.r_[1.0, ma], np.r_[1.0, -np.asarray(ar, dtype=float)], eps)[warm:]
+        y = simulate_arma(spec, n, seed, burnin=burnin)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSimulateTar:
@@ -335,9 +354,33 @@ class TestRunExperiment:
             estimators=(EstimatorSpec("m3", "match", 2, 3), EstimatorSpec("ols1", "ols", 1)),
         )
         reports = [repr(run_experiment(plan, jobs=jobs)) for jobs in (1, 2, 3)]
-        monkeypatch.setattr(simulation, "_BLOCK", 3)  # 7 replicates in blocks of 3, 3 and 1
+        monkeypatch.setattr(simulation, "_BLOCK", 3)  # 7 replicates in blocks of 2, 2 and 3
         reports += [repr(run_experiment(plan, jobs=jobs)) for jobs in (1, 2)]
         assert reports[1:] == reports[:1] * 4
+
+    @pytest.mark.parametrize("replicates, sizes", [(8, [8]), (32, [32]), (33, [16, 17]), (70, [23, 23, 24])])
+    def test_blocks_sized_by_block_limit_alone(self, monkeypatch, replicates, sizes):
+        seen = []
+        monkeypatch.setattr(simulation, "parallel_map", lambda fn, blocks, jobs: seen.extend(blocks) or [])
+        monkeypatch.setattr(simulation, "_summarize", lambda *a: {})
+        run_experiment(self._tiny_plan(replicates=replicates), jobs=4)
+        assert [len(b[1]) for b in seen] == sizes
+        assert [r for b in seen for r in b[1]] == list(range(replicates))
+
+    def test_one_block_starts_no_pool(self, monkeypatch):
+        plan = self._tiny_plan(
+            truth=TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0),
+            replicates=8,
+            estimators=(EstimatorSpec("m3", "match", 2, 3), EstimatorSpec("ols1", "ols", 1)),
+        )
+        expected = repr(run_experiment(plan, jobs=1))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        assert repr(run_experiment(plan, jobs=2)) == expected
 
     def test_failure_inside_batched_fit_fails_one_replicate(self, monkeypatch):
         real = estimator.fit_ols
