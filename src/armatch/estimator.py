@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acvf import ArParams, ar_to_pacf, levinson_solve, pacf_to_ar
-from .companion import ar_spectral_radius
+from .companion import ar_spectral_radii, ar_spectral_radius
 from .errors import NoConvergence, SingularDesign, TooShort
 from .loss import (
     _check_length,
@@ -86,12 +86,26 @@ def fit_ols(series, p):
     X = lag_matrix(y, p)
     target = y[p:]
     G = X.T @ X
-    scale = np.trace(G) / p
-    if scale <= 0.0 or np.linalg.matrix_rank(G) < p or np.min(np.linalg.eigvalsh(G)) <= 1e-12 * scale:
+    if not _gram_ok(G[None])[0]:
         raise SingularDesign("lagged design Gram matrix is singular")
     phi = np.linalg.solve(G, X.T @ target)
     resid = target - X @ phi
     return ArParams(phi, float(resid @ resid) / resid.shape[0])
+
+
+def _gram_ok(G):
+    """The design check of ``fit_ols`` on a stack (B, p, p) of Gram
+    matrices: False where the trace is not positive, the least eigenvalue
+    is at most 1e-12 times the mean one, or the rank is below p.  For
+    p < 67 that eigenvalue floor exceeds ``matrix_rank``'s tolerance
+    (largest singular value times p times the machine epsilon), so the
+    rank test (an SVD) runs only above."""
+    p = G.shape[-1]
+    scale = np.trace(G, axis1=1, axis2=2) / p
+    ok = (scale > 0.0) & (np.linalg.eigvalsh(G)[:, 0] > 1e-12 * scale)
+    if p >= 67:
+        ok &= np.linalg.matrix_rank(G) == p
+    return ok
 
 
 def _project_stationary(phi):
@@ -255,6 +269,38 @@ def _ols_or_none(y, p):
         return None
 
 
+def _stacked_ols(Y, X):
+    """``fit_ols``'s coefficients for every row y of a stack Y (B, n), with
+    X[b] = lag_matrix(Y[b], p): (phi (B, p), ok (B,)), zeros where ok is
+    False because ``fit_ols`` would raise SingularDesign (``_gram_ok``).
+    The Gram matrices and right-hand sides come from stacked products, each
+    acting on one slice of X as ``fit_ols`` does on its matrix, and the
+    solves from one stacked call, so a row's phi is ``fit_ols``'s bit for
+    bit."""
+    p = X.shape[-1]
+    Xt = X.transpose(0, 2, 1)
+    G = Xt @ X
+    rhs = Xt @ Y[:, p:, None]
+    ok = _gram_ok(G)
+    phi = np.zeros((Y.shape[0], p))
+    phi[ok] = np.linalg.solve(G[ok], rhs[ok])[..., 0]
+    return phi, ok
+
+
+def _ols_starts(Y, X, p):
+    """The start coefficients of ``fit_match`` for every row y of a stack
+    Y (G, n) with X = lag_matrix(Y, p), p >= 1: the OLS solution of
+    ``fit_ols(y, p)``, or zeros where that raises SingularDesign or
+    TooShort, projected inside _START_RADIUS; shape (G, p).
+
+    One stacked eigenvalue call finds the rows that need projecting.
+    """
+    phi = _stacked_ols(Y, X)[0] if Y.shape[1] >= 2 * p + 1 else np.zeros((Y.shape[0], p))
+    for i in np.flatnonzero(ar_spectral_radii(phi) >= _START_RADIUS):
+        phi[i] = _project_stationary(phi[i])
+    return phi
+
+
 def _fit_match_stack(Y, p, m, opts):
     """``fit_match(y, p, m, opts)`` on its iterative path, for every row y
     of a stack Y (G, n) of equal-length finite series, p >= 1, in one
@@ -269,11 +315,7 @@ def _fit_match_stack(Y, p, m, opts):
     """
     G = Y.shape[0]
     X = lag_matrix(Y, p)
-    phi0 = []
-    for y in Y:
-        ols = _ols_or_none(y, p)
-        phi0.append(_project_stationary(ols.phi if ols is not None else np.zeros(p)))
-    starts = _match_starts(np.array(phi0), opts)
+    starts = _match_starts(_ols_starts(Y, X, p), opts)
     groups = np.repeat(np.arange(G), starts.shape[1])
     # A lone series' moments go in unstacked: minimize's shared-moment form
     # skips the per-row indexing and solves faster.

@@ -20,6 +20,7 @@ from .estimator import (
     FitOptions,
     _match_starts,
     _pacf_to_ar_with_jac,
+    _stacked_ols,
     fit_match,
     fit_ols,
     minimize,
@@ -157,18 +158,6 @@ def _bootstrap_replicate(args):
     return lstar_b - (l_b - z_b)
 
 
-def _gram_ok(G):
-    """``fit_ols``'s check on a stack (B, p, p) of Gram matrices: False
-    where it would raise SingularDesign.  For p < 67 the eigenvalue floor
-    exceeds matrix_rank's tolerance, so the rank test runs only above."""
-    p = G.shape[-1]
-    scale = np.trace(G, axis1=1, axis2=2) / p
-    ok = (scale > 0.0) & (np.linalg.eigvalsh(G)[:, 0] > 1e-12 * scale)
-    if p >= 67:
-        ok &= np.linalg.matrix_rank(G) == p
-    return ok
-
-
 def _residual_q(y, X, phi, m):
     """``empirical_q`` of each row of the stack (y, X, phi), summed over the
     residuals of horizons 1..m."""
@@ -219,12 +208,7 @@ def _batched_diffs(tasks):
     else:
         y = ar_filter(model.phi, eps)[:, burn:]
         X = sliding_window_view(y, p, axis=1)[:, : ell - p, ::-1]  # X[b] = lag_matrix(y[b], p)
-        Xt = X.transpose(0, 2, 1)
-        G = Xt @ X
-        rhs = Xt @ y[:, p:, None]
-        ok = _gram_ok(G)
-        phi = np.zeros((len(tasks), p))
-        phi[ok] = np.linalg.solve(G[ok], rhs[ok])[..., 0]
+        phi, ok = _stacked_ols(y, X)
         if m > 1:  # fit_match from the OLS start, unless it needs projecting
             ok &= ar_spectral_radii(phi) < _START_RADIUS
             if np.any(ok):

@@ -7,9 +7,15 @@ blocks, one task of the worker pool each, and fits each multi-step
 estimator on all of a block's series in one batched solve; a series' fit
 does not depend on the others in its batch, so results are identical for
 any block composition and any worker count.
+
+The TAR simulator steps through Python floats in generated straight-line
+code, one function per (order, delay), compiled on first use and cached
+(``_tar_kernel``); the ARMA simulator filters with ``loss.ar_filter``.
 """
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +62,8 @@ class TarSpec:
         hi = np.atleast_1d(np.asarray(self.phi_high, dtype=float))
         if ar_spectral_radius(lo) >= 1.0 or ar_spectral_radius(hi) >= 1.0:
             raise NonStationary("both TAR regimes must be stationary")
+        if isinstance(self.delay, bool) or not isinstance(self.delay, numbers.Integral):
+            raise ValueError(f"delay must be an integer, got {self.delay!r}")
         if self.delay < 1:
             raise ValueError("delay must be >= 1")
         if float(self.sigma2) <= 0.0:
@@ -142,6 +150,8 @@ def simulate_arma(spec, n, seed, burnin=200, dist="gaussian", t_df=5.0):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if burnin < 0:
+        raise ValueError("burnin must be >= 0")
     if not spec.is_stationary:
         raise NonStationary("AR part of the simulation spec is not stationary")
     p, q = spec.ar.shape[0], spec.ma.shape[0]
@@ -169,29 +179,65 @@ def simulate_tar(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
     window of earlier versions, so paths are bit-identical to theirs.
     ``sum()`` (compensated since Python 3.12), ``math.fsum`` (correctly
     rounded) and a BLAS dot on a contiguous window (fused multiply-adds,
-    other blocking) each round differently and are not used.  The history
-    is the output list itself, starting with p zeros, read at negative
-    indices: the pairs (phi_j, -j) of each regime.
+    other blocking) each round differently and are not used.  The steps
+    run in ``_tar_kernel(p, delay)``, straight-line code generated for the
+    order and delay, which writes that sum out term by term.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if burnin < 0:
+        raise ValueError("burnin must be >= 0")
     p = max(spec.phi_low.shape[0], spec.phi_high.shape[0], spec.delay)
     rng = rng_from(seed)
     eps = _innovations(rng, burnin + n, spec.sigma2, dist, t_df)
-    lags = range(-1, -p - 1, -1)
-    lo = list(zip(np.concatenate([spec.phi_low, np.zeros(p - spec.phi_low.shape[0])]).tolist(), lags))
-    hi = list(zip(np.concatenate([spec.phi_high, np.zeros(p - spec.phi_high.shape[0])]).tolist(), lags))
-    threshold, delay = spec.threshold, -spec.delay
-    out = [0.0] * p  # y_{-p}, ..., y_{-1}, then the path
-    for e in eps.tolist():
-        s = 0.0
-        for a, j in lo if out[delay] <= threshold else hi:
-            s += a * out[j]
-        out.append(s + e)
-    y = np.array(out[p + burnin:])
+    lo = np.concatenate([spec.phi_low, np.zeros(p - spec.phi_low.shape[0])]).tolist()
+    hi = np.concatenate([spec.phi_high, np.zeros(p - spec.phi_high.shape[0])]).tolist()
+    path = _tar_kernel(p, spec.delay)(eps.tolist(), lo, hi, spec.threshold)
+    y = np.array(path[burnin:], dtype=float)
     if not np.all(np.isfinite(y)):
         raise NonStationary("TAR path diverged: non-finite value")
     return y
+
+
+@functools.lru_cache(maxsize=32)
+def _tar_kernel(p, delay):
+    """``kernel(eps, lo, hi, threshold)``: the TAR recursion of order p and
+    delay ``delay`` from zero history, driven by the list of floats eps,
+    with lo and hi the p coefficients of the two regimes; returns the path
+    as a list.
+
+    The source is generated from the integers p and delay alone, as
+    ``dataclasses`` generates ``__init__``: the lags live in locals
+    y1..yp, the regime test reads y{delay}, and each step is
+    ``y = 0.0 + a1 * y1 + ... + ap * yp + e``, the summation order of the
+    ``simulate_tar`` contract.  Coefficients and threshold are arguments,
+    so one compiled kernel serves every spec of that shape.
+    """
+    lags = range(1, p + 1)
+
+    def step(coef):
+        return " + ".join(["0.0"] + [f"{coef}{j} * y{j}" for j in lags] + ["e"])
+
+    lines = [
+        "def kernel(eps, lo, hi, threshold):",
+        f"    {', '.join(f'a{j}' for j in lags)}, = lo",
+        f"    {', '.join(f'b{j}' for j in lags)}, = hi",
+        f"    {' = '.join(f'y{j}' for j in lags)} = 0.0",
+        "    out = []",
+        "    append = out.append",
+        "    for e in eps:",
+        f"        if y{delay} <= threshold:",
+        f"            y = {step('a')}",
+        "        else:",
+        f"            y = {step('b')}",
+        "        append(y)",
+        *(f"        y{j} = y{j - 1}" for j in range(p, 1, -1)),
+        "        y1 = y",
+        "    return out",
+    ]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<tar kernel p={p} delay={delay}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _truth_gamma(plan):

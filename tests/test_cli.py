@@ -224,6 +224,20 @@ class TestSimulate:
                      "--n", "5", "--seed", "1", "--output", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("model", [["arma", "--ar", "0.5"],
+                                       ["tar", "--phi-low", "0.5", "--phi-high", "-0.3"]])
+    @pytest.mark.parametrize("burnin", ["-1", "-600"])
+    def test_negative_burnin_exit_2_without_traceback(self, tmp_path, capsys, model, burnin):
+        # -1 once wrote the zero pre-sample history as data; -600 failed in numpy.
+        out = tmp_path / "x"
+        code = main(["simulate", "--model", *model, "--n", "5", "--seed", "1",
+                     "--burnin", burnin, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: burnin must be >= 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 EXPERIMENT_CONFIG = """\
 [truth]

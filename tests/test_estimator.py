@@ -63,6 +63,34 @@ class TestFitOls:
         assert model.phi[0] > 1.0
         assert not model.is_stationary
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 6, 10, 30, 70])
+    def test_gram_check_equals_rank_and_eigenvalue_oracle(self, p):
+        # The check fit_ols made before it used _gram_ok: an SVD rank test
+        # and the eigenvalue floor.  Designs run from well conditioned
+        # through a column 10^k away from another (k = -1..-16 in quarter
+        # steps, so some land on each side of the floor) to a zero column
+        # and a zero matrix.
+        def oracle(G):
+            scale = np.trace(G) / p
+            return not (scale <= 0.0 or np.linalg.matrix_rank(G) < p
+                        or np.min(np.linalg.eigvalsh(G)) <= 1e-12 * scale)
+
+        rng = np.random.default_rng(p)
+        Gs = [np.zeros((p, p))]
+        for k in [None, *np.arange(-1.0, -16.25, -0.25), "zero"]:
+            X = rng.standard_normal((3 * p + 20, p))
+            if k == "zero":
+                X[:, -1] = 0.0
+            elif k is not None and p > 1:
+                X[:, -1] = X[:, 0] + 10.0**k * rng.standard_normal(X.shape[0])
+            elif k is not None:
+                X *= 10.0**k
+            Gs.append(X.T @ X)
+        G = np.array(Gs)
+        ok = estimator._gram_ok(G)
+        assert ok.tolist() == [oracle(g) for g in G]
+        assert ok.any() and not ok.all()
+
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(9)
         y = rng.standard_normal(60)
@@ -318,6 +346,29 @@ def test_stacked_fit_equals_fit_match_bit_for_bit(kind, n):
             for rows in ([1, 2], [3, 0], [2]):
                 for fit, g in zip(estimator._fit_match_stack(Y[rows], p, m, opts), rows):
                     assert _same_fit(fit, full[g]), (p, m, rows)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [None, 60, 400])
+def test_stacked_ols_starts_equal_per_series_path(p, n):
+    # Rows: TAR and ARMA series, an alternating series (singular design at
+    # p >= 2), an integrated random walk (OLS outside _START_RADIUS, so
+    # projected) and a zero series (singular at every p); n = None is too
+    # short for OLS.
+    n = n or 2 * p
+    rows = [simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, s) for s in range(4)]
+    rows += [simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 7), np.tile([1.0, -1.0], n)[:n],
+             np.cumsum(np.cumsum(np.random.default_rng(p).standard_normal(n))), np.zeros(n)]
+    Y = np.array(rows)
+    got = estimator._ols_starts(Y, lag_matrix(Y, p), p)
+    singular = projected = 0
+    for y, row in zip(Y, got):
+        ols = estimator._ols_or_none(y, p)
+        singular += ols is None
+        projected += ols is not None and estimator.ar_spectral_radius(ols.phi) >= estimator._START_RADIUS
+        assert row.tobytes() == estimator._project_stationary(ols.phi if ols is not None else np.zeros(p)).tobytes()
+    assert singular >= (len(rows) if n < 2 * p + 1 else 1 + (p >= 2))
+    assert projected >= (n >= 2 * p + 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -237,14 +237,14 @@ class TestMultistepBatch:
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
         tasks = _order_tasks(y, 2, 3, 10, seed=3)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        real = selection._gram_ok
+        real = selection._stacked_ols
 
-        def one_fails(G):
-            ok = real(G)
+        def one_fails(Y, X):
+            phi, ok = real(Y, X)
             ok[6] = False
-            return ok
+            return phi, ok
 
-        monkeypatch.setattr(selection, "_gram_ok", one_fails)
+        monkeypatch.setattr(selection, "_stacked_ols", one_fails)
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
         assert redone == [7]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+import armatch.cli as cli
 import armatch.estimator as estimator
 import armatch.parallel as parallel
 import armatch.simulation as simulation
@@ -167,6 +168,12 @@ class TestSimulateTar:
             TarSpec([0.4, -0.3], [-0.2, 0.1], 0.25, 2, 2.0),
             TarSpec([0.5], [0.3], 0.1, 3, 0.7),  # delay > order: zero padding
             TarSpec([0.1, 0.05, -0.1, 0.2, 0.1], [-0.1] * 7, -0.2, 9, 1.3),
+            # p = 10 with the delay below, equal to and above the orders.
+            TarSpec(pacf_to_ar([0.5, -0.4, 0.3, 0.2, -0.2, 0.1, 0.3, -0.1, 0.2, 0.1]),
+                    pacf_to_ar([-0.6, 0.2, 0.1, -0.3]), 0.2, 3, 1.0),
+            TarSpec(pacf_to_ar([0.7, -0.2, 0.1, 0.3, -0.2, 0.1, 0.2, -0.3, 0.1, 0.2]),
+                    pacf_to_ar([0.3, 0.2, -0.1, 0.1, -0.2, 0.1, 0.1, 0.2, -0.1, 0.3]), -0.1, 10, 0.5),
+            TarSpec(pacf_to_ar([0.4, -0.3, 0.2]), pacf_to_ar([-0.5, 0.4]), 0.0, 10, 2.0),
         ],
     )
     @pytest.mark.parametrize("dist", ["gaussian", "t"])
@@ -178,6 +185,35 @@ class TestSimulateTar:
             got = simulate_tar(spec, n, 3, burnin=burnin, dist=dist)
             assert got.shape == (n,)
             assert got.tobytes() == simulate_tar_numpy(spec, n, 3, burnin=burnin, dist=dist).tobytes()
+
+    def test_specs_sharing_a_kernel_keep_their_own_values(self):
+        # Same (p, delay) = (2, 1), other coefficients, threshold and scale,
+        # run back to back: a kernel that kept one spec's values would fail.
+        a = TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0)
+        b = TarSpec([-0.4, 0.2], [0.7, -0.1], 0.8, 1, 2.0)
+        for spec in (a, b, a, b):
+            for seed in range(3):
+                got = simulate_tar(spec, 300, seed)
+                assert got.tobytes() == simulate_tar_numpy(spec, 300, seed).tobytes()
+
+    def test_kernel_cache_is_bounded(self):
+        maxsize = simulation._tar_kernel.cache_info().maxsize
+        assert maxsize is not None
+        for delay in range(1, maxsize + 6):
+            spec = TarSpec([0.5], [-0.3], 0.1, delay, 1.0)
+            assert simulate_tar(spec, 5, delay, burnin=3).tobytes() == \
+                simulate_tar_numpy(spec, 5, delay, burnin=3).tobytes()
+            assert simulation._tar_kernel.cache_info().currsize <= maxsize
+
+    def test_cli_output_equals_numpy_loop(self, tmp_path):
+        out = tmp_path / "tar.txt"
+        code = cli.main(["simulate", "--model", "tar", "--phi-low", "0.6,-0.3", "--phi-high", "-0.5",
+                         "--threshold", "0.1", "--delay", "2", "--n", "300", "--seed", "5",
+                         "--burnin", "40", "--dist", "t", "--output", str(out)])
+        spec = TarSpec([0.6, -0.3], [-0.5], 0.1, 2, 1.0)
+        ref = simulate_tar_numpy(spec, 300, 5, burnin=40, dist="t")
+        assert code == 0
+        assert out.read_text() == "".join(repr(float(v)) + "\n" for v in ref)
 
     def test_threshold_hit_exactly_goes_low(self, monkeypatch):
         # eps = 1, 0, 0: y0 = 1, y1 = -0.5 * y0 (high regime: 1 > -0.5), and
@@ -214,6 +250,15 @@ class TestSimulateTar:
     def test_bad_delay_rejected(self):
         with pytest.raises(ValueError):
             TarSpec([0.5], [0.3], 0.0, 0, 1.0)
+
+    @pytest.mark.parametrize("delay", [1.5, 2.0, True, "2"])
+    def test_non_integer_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="delay must be an integer"):
+            TarSpec([0.5], [0.3], 0.0, delay, 1.0)
+
+    def test_numpy_integer_delay_accepted(self):
+        spec = TarSpec([0.5], [0.3], 0.0, np.int64(2), 1.0)
+        assert simulate_tar(spec, 50, 1).tobytes() == simulate_tar_numpy(spec, 50, 1).tobytes()
 
 
 class TestRunExperiment:
@@ -383,12 +428,12 @@ class TestRunExperiment:
         assert repr(run_experiment(plan, jobs=2)) == expected
 
     def test_failure_inside_batched_fit_fails_one_replicate(self, monkeypatch):
-        real = estimator.fit_ols
+        real = estimator._ols_starts
 
-        def fails_on_replicate_1(y, p):
-            if y[0] == first_y[1]:
+        def fails_on_replicate_1(Y, X, p):
+            if first_y[1] in Y[:, 0]:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return real(y, p)
+            return real(Y, X, p)
 
         plan = self._tiny_plan(replicates=12, estimators=(EstimatorSpec("m2", "match", 1, 2),))
         expected = run_experiment(plan).rows
@@ -396,7 +441,7 @@ class TestRunExperiment:
         batches = []
         real_stack = simulation._fit_match_stack
         monkeypatch.setattr(simulation, "_fit_match_stack", lambda Y, *a: batches.append(len(Y)) or real_stack(Y, *a))
-        monkeypatch.setattr(estimator, "fit_ols", fails_on_replicate_1)
+        monkeypatch.setattr(estimator, "_ols_starts", fails_on_replicate_1)
         report = run_experiment(plan)
         assert batches == [12]  # the batched call ran, and raised
         assert report.summary["failures"] == [{"replicate": 1, "error": "LinAlgError: Singular matrix"}]
