@@ -10,6 +10,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,19 +39,23 @@ def read_series(path):
     """Series file: one finite decimal per line, optional 'value' header."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower() == "value":
-                continue
-            try:
-                v = float(line)
-            except ValueError:
-                raise ArMatchError(f"{path}: line {lineno}: not a number: {line!r}")
-            if not np.isfinite(v):
-                raise ArMatchError(f"{path}: line {lineno}: non-finite value")
-            values.append(v)
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ArMatchError(f"{path}: not UTF-8 text ({exc.reason})")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.lower() == "value":
+            continue
+        try:
+            v = float(line)
+        except ValueError:
+            raise ArMatchError(f"{path}: line {lineno}: not a number: {line!r}")
+        if not math.isfinite(v):
+            raise ArMatchError(f"{path}: line {lineno}: non-finite value")
+        values.append(v)
     if not values:
         raise ArMatchError(f"{path}: no data lines")
     return np.array(values)

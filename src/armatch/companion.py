@@ -49,3 +49,26 @@ def ar_spectral_radii(phis):
     """Spectral radius of the companion matrix of each row of a (B, p)
     stack of AR coefficient vectors, p >= 1, from one stacked ``eigvals``."""
     return np.max(np.abs(np.linalg.eigvals(companion_matrix(phis))), axis=1)
+
+
+# Margin of the bound in ``radii_below``: it absorbs the rounding of the
+# bound's sum and of eigvals, so a row the bound settles is one eigvals
+# would put below c too.
+_SCREEN_MARGIN = 1e-6
+
+
+def radii_below(phis, c):
+    """``ar_spectral_radii(phis) < c`` for a (B, p) stack, p >= 1, calling
+    ``eigvals`` only on the rows a bound does not settle.
+
+    A companion root z of phi solves 1 = sum_j phi_j z^-j.  If |z| >= c,
+    then 1 <= sum_j |phi_j| |z|^-j <= sum_j |phi_j| c^-j, so a row whose
+    sum_j |phi_j| c^-j is below 1 has every root inside radius c.  (For
+    c < 1 this is not the test sum_j |phi_j| < c.)
+    """
+    phis = np.asarray(phis, dtype=float)
+    below = np.abs(phis) @ (c ** -np.arange(1.0, phis.shape[1] + 1)) < 1.0 - _SCREEN_MARGIN
+    rest = np.flatnonzero(~below)
+    if rest.size:
+        below[rest] = ar_spectral_radii(phis[rest]) < c
+    return below

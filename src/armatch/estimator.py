@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acvf import ArParams, ar_to_pacf, levinson_solve, pacf_to_ar
-from .companion import ar_spectral_radii, ar_spectral_radius
+from .companion import ar_spectral_radius, radii_below
 from .errors import NoConvergence, SingularDesign, TooShort
 from .loss import (
     _check_length,
@@ -293,10 +293,10 @@ def _ols_starts(Y, X, p):
     ``fit_ols(y, p)``, or zeros where that raises SingularDesign or
     TooShort, projected inside _START_RADIUS; shape (G, p).
 
-    One stacked eigenvalue call finds the rows that need projecting.
+    ``radii_below`` finds the rows that need projecting.
     """
     phi = _stacked_ols(Y, X)[0] if Y.shape[1] >= 2 * p + 1 else np.zeros((Y.shape[0], p))
-    for i in np.flatnonzero(ar_spectral_radii(phi) >= _START_RADIUS):
+    for i in np.flatnonzero(~radii_below(phi, _START_RADIUS)):
         phi[i] = _project_stationary(phi[i])
     return phi
 

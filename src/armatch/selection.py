@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .acvf import AcvfSeq, ar_acvf
-from .companion import ar_spectral_radii
+from .companion import radii_below
 from .errors import BootstrapFailed, DegenerateFit, TooShort
 from .estimator import (
     _START_RADIUS,
@@ -35,7 +35,7 @@ from .loss import (
     lag_matrix,
     population_q,
 )
-from .seeding import rekey, rng_from
+from .seeding import rng_from, stream_integers
 
 __all__ = [
     "OrderRow",
@@ -177,28 +177,24 @@ def _batched_diffs(tasks):
     order (they differ only in b), computed as one batch.
 
     Replicate b still draws its innovations from the stream of
-    rng_from(seed, p, b), as ``_simulate_fitted`` does: one generator is
-    rekeyed to each replicate's stream in turn.  The B series are filtered
-    together and their OLS solutions come from one stacked (B, p, p) solve.
-    At m = 1 that solution is the fit.  At m > 1 it is the start of
-    ``fit_match``: the jittered start rows of all B replicates run through
-    one ``minimize`` call, one group per replicate, on their stacked
-    empirical moments.  The in-sample criterion comes from the residuals
-    and the population criterion Q* from the moments of gamma_hat, for all
-    replicates at once.  A replicate that fails a check of the
-    per-replicate path is redone by ``_bootstrap_replicate``: a
+    rng_from(seed, p, b), as ``_simulate_fitted`` does, but the indices of
+    all B streams are drawn in one pass (``stream_integers``).  The B
+    series are filtered together and their OLS solutions come from one
+    stacked (B, p, p) solve.  At m = 1 that solution is the fit.  At m > 1
+    it is the start of ``fit_match``: the jittered start rows of all B
+    replicates run through one ``minimize`` call, one group per replicate,
+    on their stacked empirical moments.  The in-sample criterion comes from
+    the residuals and the population criterion Q* from the moments of
+    gamma_hat, for all replicates at once.  A replicate that fails a check
+    of the per-replicate path is redone by ``_bootstrap_replicate``: a
     near-singular Gram matrix, an OLS start that ``_project_stationary``
     would move (m > 1), a fitted model that is not stationary, or a
     difference that is not finite.
     """
     model, pool, gamma_hat, ell, p, m, seed, _, opts = tasks[0]
     burn = _BURNIN_BASE + p
-    # rng.integers draws the same indices as _simulate_fitted's rng.choice.
-    rng, draws = rng_from(seed), []
-    for task in tasks:
-        rekey(rng, seed, p, task[7])
-        draws.append(rng.integers(0, pool.shape[0], ell + burn))
-    eps = pool[np.stack(draws)]
+    # Row b holds the indices _simulate_fitted's rng.choice draws.
+    eps = pool[stream_integers(seed, p, [task[7] for task in tasks], pool.shape[0], ell + burn)]
     tail = eps[:, burn + p:]
     tail_ms = np.einsum("ij,ij->i", tail, tail) / tail.shape[1]
     if p == 0:
@@ -210,7 +206,7 @@ def _batched_diffs(tasks):
         X = sliding_window_view(y, p, axis=1)[:, : ell - p, ::-1]  # X[b] = lag_matrix(y[b], p)
         phi, ok = _stacked_ols(y, X)
         if m > 1:  # fit_match from the OLS start, unless it needs projecting
-            ok &= ar_spectral_radii(phi) < _START_RADIUS
+            ok &= radii_below(phi, _START_RADIUS)
             if np.any(ok):
                 opts = opts or FitOptions()
                 starts = _match_starts(phi[ok], opts)
@@ -218,7 +214,7 @@ def _batched_diffs(tasks):
                 moments = _empirical_moments(y[ok], X[ok], p, m)
                 S = minimize(moments, m, starts.reshape(-1, p), opts, groups)[0]
                 phi[ok] = _pacf_to_ar_with_jac(np.tanh(S))[0]
-        ok &= ar_spectral_radii(phi) < 1.0
+        ok &= radii_below(phi, 1.0)
         qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
     q = _residual_q(y, X, phi, m)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -287,9 +283,10 @@ def bootstrap_bias(series, p, m, B, seed, opts=None):
     two thirds, see ``_subsample_length``), which conservatively inflates
     the penalty and is what makes the downstream order selection reliable.
     Replicate b uses the derived seed mix(seed, p, b); degenerate
-    replicates are skipped (at most 20% may be skipped).  The B refits run
-    as one vectorised batch in this process: closed-form OLS at m = 1, one
-    grouped ``minimize`` call at m > 1.  At p = 0 and m = 1 every
+    replicates are skipped (at most 20% may be skipped).  The B replicates
+    run as one vectorised batch in this process: the resample indices of
+    all B streams drawn in one pass, then closed-form OLS refits at m = 1,
+    one grouped ``minimize`` call at m > 1.  At p = 0 and m = 1 every
     replicate difference is log gamma_hat(0), so no series is drawn.
     """
     if B < 1:

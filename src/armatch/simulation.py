@@ -45,6 +45,17 @@ REPORT_COLUMNS = ["replicate", "estimator", "p", "m", "score", "converged", "cho
 # multi-step fits run as one batch, so this bounds the memory of a task.
 _BLOCK = 32
 
+# Most lag terms in one statement of a generated TAR step (``_tar_kernel``).
+_SUM_TERMS = 100
+
+
+def _check_count(name, value, least):
+    """Raise ValueError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
 
 @dataclass(frozen=True)
 class TarSpec:
@@ -62,10 +73,7 @@ class TarSpec:
         hi = np.atleast_1d(np.asarray(self.phi_high, dtype=float))
         if ar_spectral_radius(lo) >= 1.0 or ar_spectral_radius(hi) >= 1.0:
             raise NonStationary("both TAR regimes must be stationary")
-        if isinstance(self.delay, bool) or not isinstance(self.delay, numbers.Integral):
-            raise ValueError(f"delay must be an integer, got {self.delay!r}")
-        if self.delay < 1:
-            raise ValueError("delay must be >= 1")
+        _check_count("delay", self.delay, 1)
         if float(self.sigma2) <= 0.0:
             raise ValueError("sigma2 must be positive")
         object.__setattr__(self, "phi_low", lo)
@@ -148,10 +156,8 @@ def simulate_arma(spec, n, seed, burnin=200, dist="gaussian", t_df=5.0):
     convolution, then the AR recursion (``ar_filter``), both from a zero
     start.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burnin < 0:
-        raise ValueError("burnin must be >= 0")
+    _check_count("n", n, 1)
+    _check_count("burnin", burnin, 0)
     if not spec.is_stationary:
         raise NonStationary("AR part of the simulation spec is not stationary")
     p, q = spec.ar.shape[0], spec.ma.shape[0]
@@ -183,10 +189,8 @@ def simulate_tar(spec, n, seed, burnin=500, dist="gaussian", t_df=5.0):
     run in ``_tar_kernel(p, delay)``, straight-line code generated for the
     order and delay, which writes that sum out term by term.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burnin < 0:
-        raise ValueError("burnin must be >= 0")
+    _check_count("n", n, 1)
+    _check_count("burnin", burnin, 0)
     p = max(spec.phi_low.shape[0], spec.phi_high.shape[0], spec.delay)
     rng = rng_from(seed)
     eps = _innovations(rng, burnin + n, spec.sigma2, dist, t_df)
@@ -210,13 +214,20 @@ def _tar_kernel(p, delay):
     ``dataclasses`` generates ``__init__``: the lags live in locals
     y1..yp, the regime test reads y{delay}, and each step is
     ``y = 0.0 + a1 * y1 + ... + ap * yp + e``, the summation order of the
-    ``simulate_tar`` contract.  Coefficients and threshold are arguments,
-    so one compiled kernel serves every spec of that shape.
+    ``simulate_tar`` contract.  Past 100 lags the sum goes on in further
+    statements ``y = y + a101 * y101 + ...``, in the same order, so the
+    rounding is the same.  Coefficients and threshold are arguments, so one
+    compiled kernel serves every spec of that shape.
     """
     lags = range(1, p + 1)
 
     def step(coef):
-        return " + ".join(["0.0"] + [f"{coef}{j} * y{j}" for j in lags] + ["e"])
+        # At most _SUM_TERMS lags per statement, each later one carrying on
+        # from y: one expression of thousands of terms nests too deep to compile.
+        terms = [f"{coef}{j} * y{j}" for j in lags]
+        sums = [" + ".join(terms[i:i + _SUM_TERMS]) for i in range(0, p, _SUM_TERMS)]
+        sums[-1] += " + e"
+        return [f"y = 0.0 + {sums[0]}", *(f"y = y + {part}" for part in sums[1:])]
 
     lines = [
         "def kernel(eps, lo, hi, threshold):",
@@ -227,9 +238,9 @@ def _tar_kernel(p, delay):
         "    append = out.append",
         "    for e in eps:",
         f"        if y{delay} <= threshold:",
-        f"            y = {step('a')}",
+        *(f"            {line}" for line in step("a")),
         "        else:",
-        f"            y = {step('b')}",
+        *(f"            {line}" for line in step("b")),
         "        append(y)",
         *(f"        y{j} = y{j - 1}" for j in range(p, 1, -1)),
         "        y1 = y",

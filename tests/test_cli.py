@@ -128,6 +128,22 @@ class TestFit:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["fit", "--order", "1", "--steps", "1"],
+                                     ["select", "--max-order", "1", "--steps", "1",
+                                      "--bootstrap", "5", "--seed", "1"]])
+def test_undecodable_input_exit_1_without_traceback(tmp_path, command):
+    # UnicodeDecodeError is a ValueError, which once made this a usage error.
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"1\n\xff\xfe2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(armatch.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "armatch.cli", command[0], "--input", str(path), *command[1:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
 class TestSelect:
     def test_table_shape(self, ar2_file, tmp_path):
         out = tmp_path / "sel.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armatch import (
     AcvfSeq,
@@ -13,7 +15,7 @@ from armatch import (
     predictor_from_acvf,
     predictor_from_model,
 )
-from armatch.companion import companion_matrix, spectral_radius
+from armatch.companion import ar_spectral_radii, companion_matrix, radii_below, spectral_radius
 
 
 class TestCompanion:
@@ -36,6 +38,28 @@ class TestCompanion:
         C = companion_matrix([0.1, 0.2, 0.3])
         assert C[0].tolist() == [0.1, 0.2, 0.3]
         assert C[1, 0] == 1.0 and C[2, 1] == 1.0 and C[2, 0] == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), c=st.sampled_from([0.99, 1.0]))
+def test_radii_below_equals_eigvals(seed, p, c):
+    # Random rows at scales from deep inside to well outside the unit
+    # circle, rows put just inside and just outside the bound that spares
+    # eigvals (sum_j |phi_j| c^-j = 1 - 1e-6), and rows with
+    # sum_j |phi_j| just under 1 - 1e-6, which the bound must not take as
+    # settled when c < 1.
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((60, p)) * rng.uniform(0.01, 2.0, (60, 1)) / np.sqrt(p)
+    phi[:5, 1:] = 0.0  # one real root, |phi_1|
+    weighted = np.abs(phi) @ (c ** -np.arange(1.0, p + 1))
+    total = np.abs(phi).sum(axis=1)
+    nudge = 1.0 + rng.choice([-1e-9, -1e-15, 0.0, 1e-15, 1e-9], (60, 1))
+    rows = np.vstack([
+        phi,
+        phi / weighted[:, None] * (1.0 - 1e-6) * nudge,
+        phi / total[:, None] * (1.0 - 1e-6) * nudge,
+    ])
+    np.testing.assert_array_equal(radii_below(rows, c), ar_spectral_radii(rows) < c)
 
 
 class TestPredictorFromModel:

@@ -21,7 +21,7 @@ from armatch import (
 )
 from armatch import parallel, selection
 from armatch.acvf import ArParams
-from armatch.seeding import mix_seed, rekey, rng_from
+from armatch.seeding import mix_seed, rng_from, stream_integers
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
@@ -148,44 +148,52 @@ class TestBatchedBootstrap:
     def test_failed_stationarity_check_falls_back(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 71)
         tasks = _order_tasks(y, 2, 1, 10, seed=3)
-        real = selection.ar_spectral_radii
+        real = selection.radii_below
         oracle = selection._bootstrap_replicate
         redone = []
 
-        def one_fails(phis):
-            radii = real(phis)
-            radii[4] = 1.0
-            return radii
+        def one_fails(phis, c):
+            below = real(phis, c)
+            below[4] = False
+            return below
 
         def replicate(task):
             redone.append(task[7])
             return oracle(task)
 
-        monkeypatch.setattr(selection, "ar_spectral_radii", one_fails)
+        monkeypatch.setattr(selection, "radii_below", one_fails)
         monkeypatch.setattr(selection, "_bootstrap_replicate", replicate)
         batched = selection._batched_diffs(tasks)
         assert redone == [5]
         assert batched[4] == oracle(tasks[4])
         np.testing.assert_allclose(batched, [oracle(t) for t in tasks], rtol=1e-12, atol=1e-14)
 
-    def test_rekeyed_stream_equals_fresh_generator(self):
-        # One generator, rekeyed after partial use (including a buffered
-        # 32-bit half), must draw what a fresh rng_from draws, for keys on
-        # both sides of 2^63.
-        rng = rng_from(0)
+    # n = 2^31 + 1 and 3 * 2^30 + 7 reject about a half and a quarter of
+    # all 32-bit halves, so most of their rows are redrawn by numpy; 2^32 - 5
+    # and 2^32 - 1 are at the top of the mapped range, 2^32 and 2^40 outside it.
+    N_VALUES = (1, 2, 3, 500, 537, 2**20 + 3, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5, 2**32 - 1, 2**32, 2**40)
+
+    def test_stream_integers_equal_fresh_generators(self):
+        # Each row must equal what rng_from(seed, p, b) draws, both by
+        # integers and by the rng.choice of _simulate_fitted, for keys on
+        # both sides of 2^63 and lengths that use a whole or half last word.
+        bs = [1, 2, 3, 7, 40, 100]
         keys = []
-        draws = (
-            lambda g: g.integers(0, 397, 700),
-            lambda g: g.random(9),
-            lambda g: g.integers(0, 2**32, 5, dtype=np.uint32),
-        )
-        for seed, idx in [(13, (2, 1)), (13, (2, 2)), (2**64 - 1, (0, 7)), (5, (6, 100)), (2**63, ())]:
-            for draw in draws:
-                rng.integers(0, 2**32, 3, dtype=np.uint32)
-                rng.standard_normal(5)
-                rekey(rng, seed, *idx)
-                assert draw(rng).tobytes() == draw(rng_from(seed, *idx)).tobytes()
-            keys.append(mix_seed(seed, *idx) if idx else seed)
+        for seed, p in [(13, 2), (2**64 - 1, 0), (2**63, 5)]:
+            keys += [mix_seed(seed, p, b) for b in bs]
+            for n in self.N_VALUES:
+                for L in (1, 2, 743, 744):
+                    got = stream_integers(seed, p, bs, n, L)
+                    want = np.stack([rng_from(seed, p, b).integers(0, n, L) for b in bs])
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (seed, p, n, L)
+                    if n <= 2**20 + 3:
+                        pool = np.arange(n, dtype=float)
+                        chosen = [rng_from(seed, p, b).choice(pool, size=L, replace=True) for b in bs]
+                        assert pool[got].tobytes() == np.stack(chosen).tobytes()
+                    else:  # choice on an int draws the same indices as on a pool of that size
+                        chosen = [rng_from(seed, p, b).choice(n, size=L, replace=True) for b in bs]
+                        assert got.tobytes() == np.stack(chosen).tobytes()
         assert min(keys) < 2**63 <= max(keys)
 
     def test_bias_se_is_spread_of_differences(self):
@@ -258,17 +266,17 @@ class TestMultistepBatch:
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 75)
         tasks = _order_tasks(y, 3, 4, 10, seed=3)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        real = selection.ar_spectral_radii
+        real = selection.radii_below
         calls = []
 
-        def one_fails(phis):
-            radii = real(phis)
+        def one_fails(phis, c):
+            below = real(phis, c)
             if len(calls) == call:
-                radii[4] = radius
+                below[4] = radius < c
             calls.append(phis.shape)
-            return radii
+            return below
 
-        monkeypatch.setattr(selection, "ar_spectral_radii", one_fails)
+        monkeypatch.setattr(selection, "radii_below", one_fails)
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
         assert len(calls) == 2 and redone == [5]

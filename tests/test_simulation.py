@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +220,32 @@ class TestSimulateTar:
         assert code == 0
         assert out.read_text() == "".join(repr(float(v)) + "\n" for v in ref)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TarSpec(pacf_to_ar(np.full(150, 0.05)), [-0.5], 0.0, 3000, 1.0),
+            TarSpec(pacf_to_ar(np.full(250, 0.04)), pacf_to_ar(np.full(230, -0.05)), 0.1, 2, 1.0),
+        ],
+    )
+    def test_large_orders_equal_numpy_loop(self, spec):
+        # Past 100 lags the generated sum runs over several statements; the
+        # bytes must not change.  The path outlives the delay of 3000, so
+        # both regimes run.
+        got = simulate_tar(spec, 3000, 7)
+        assert got.tobytes() == simulate_tar_numpy(spec, 3000, 7).tobytes()
+
+    def test_cli_large_delay_runs(self):
+        # A delay of 3000 once hit the compiler's recursion limit.
+        env = dict(os.environ, PYTHONPATH=str(Path(simulation.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "armatch.cli", "simulate", "--model", "tar", "--phi-low", "0.5",
+             "--phi-high", "-0.5", "--delay", "3000", "--n", "3", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        spec = TarSpec([0.5], [-0.5], 0.0, 3000, 1.0)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "".join(repr(float(v)) + "\n" for v in simulate_tar_numpy(spec, 3, 1, burnin=200))
+
     def test_threshold_hit_exactly_goes_low(self, monkeypatch):
         # eps = 1, 0, 0: y0 = 1, y1 = -0.5 * y0 (high regime: 1 > -0.5), and
         # y1 = -0.5 equals the threshold, so y2 = 0.5 * y1 (low regime).
@@ -259,6 +290,27 @@ class TestSimulateTar:
     def test_numpy_integer_delay_accepted(self):
         spec = TarSpec([0.5], [0.3], 0.0, np.int64(2), 1.0)
         assert simulate_tar(spec, 50, 1).tobytes() == simulate_tar_numpy(spec, 50, 1).tobytes()
+
+
+_SIMULATORS = [
+    lambda **kw: simulate_arma(ArmaSpec([0.5], [0.3], 1.0), **kw),
+    lambda **kw: simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 2, 1.0), **kw),
+]
+
+
+@pytest.mark.parametrize("simulate", _SIMULATORS, ids=["arma", "tar"])
+@pytest.mark.parametrize("name, value", [("n", 2.5), ("n", True), ("n", "5"), ("burnin", 1.5), ("burnin", False)])
+def test_non_integer_length_rejected(simulate, name, value):
+    kw = {"n": 5, "seed": 1, "burnin": 3, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        simulate(**kw)
+
+
+@pytest.mark.parametrize("simulate", _SIMULATORS, ids=["arma", "tar"])
+def test_numpy_integer_lengths_accepted(simulate):
+    want = simulate(n=5, seed=1, burnin=3)
+    assert simulate(n=np.int64(5), seed=1, burnin=np.int32(3)).tobytes() == want.tobytes()
+    assert simulate(n=np.uint8(5), seed=1, burnin=np.int64(3)).tobytes() == want.tobytes()
 
 
 class TestRunExperiment:
