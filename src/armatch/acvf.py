@@ -37,26 +37,15 @@ class AcvfSeq:
         if np.any(np.abs(g[1:]) > g[0] * (1.0 + 1e-12)):
             raise ValueError("|gamma(k)| must not exceed gamma(0)")
         object.__setattr__(self, "gamma", g)
-        # Leading Toeplitz minors of every order must be PSD: run the variance
-        # recursion and require nonnegative prediction-error variances (small
-        # slack for roundoff).
-        v = g[0]
-        a = np.zeros(0)
-        for j in range(1, self.max_lag + 1):
-            if v <= 0.0:
-                break
-            r = (g[j] - a @ g[j - 1:0:-1]) / v if j > 1 else g[1] / v
-            new = np.empty(j)
-            if j > 1:
-                new[: j - 1] = a - r * a[::-1]
-            new[j - 1] = r
-            a = new
-            v = v * (1.0 - r * r)
-            if v < -1e-10 * g[0]:
-                raise ValueError(
-                    "gamma is not a valid autocovariance sequence "
-                    f"(order-{j} Toeplitz minor is indefinite)"
-                )
+        # Leading Toeplitz minors of every order must be PSD: the recursion's
+        # last variance may reach zero but not fall below it (small slack for
+        # roundoff).
+        v = _durbin(g, self.max_lag)[2]
+        if v[-1] < -1e-10 * g[0]:
+            raise ValueError(
+                "gamma is not a valid autocovariance sequence "
+                f"(order-{v.shape[0] - 1} Toeplitz minor is indefinite)"
+            )
 
     @property
     def max_lag(self):
@@ -117,6 +106,29 @@ class ArmaSpec:
         return ar_spectral_radius(self.ar) < 1.0
 
 
+def _durbin(g, p):
+    """The Durbin recursion on gamma(0..p): (phi, pacf, v) as
+    :func:`levinson_solve` returns them, except that it stops after the
+    first variance v[j] <= 0, where pacf and v end at order j and phi is the
+    order-j solution."""
+    v = np.empty(p + 1)
+    v[0] = g[0]
+    pacf = np.empty(p)
+    a = np.zeros(0)
+    for j in range(1, p + 1):
+        r = (g[j] - a @ g[j - 1:0:-1]) / v[j - 1] if j > 1 else g[1] / v[0]
+        new = np.empty(j)
+        if j > 1:
+            new[: j - 1] = a - r * a[::-1]
+        new[j - 1] = r
+        a = new
+        pacf[j - 1] = r
+        v[j] = v[j - 1] * (1.0 - r * r)
+        if v[j] <= 0.0:
+            return a, pacf[:j], v[: j + 1]
+    return a, pacf, v
+
+
 def levinson_solve(acvf, p):
     """Solve the order-p Yule-Walker Toeplitz system by Levinson-Durbin.
 
@@ -148,20 +160,9 @@ def levinson_solve(acvf, p):
     g = acvf.gamma
     if acvf.max_lag < p:
         raise InsufficientLags(f"need gamma up to lag {p}, have {acvf.max_lag}")
+    a, pacf, v = _durbin(g, p)
     floor = SINGULARITY_FLOOR * g[0]
-    v = np.empty(p + 1)
-    v[0] = g[0]
-    pacf = np.empty(p)
-    a = np.zeros(0)
-    for j in range(1, p + 1):
-        r = (g[j] - a @ g[j - 1:0:-1]) / v[j - 1] if j > 1 else g[1] / v[0]
-        new = np.empty(j)
-        if j > 1:
-            new[: j - 1] = a - r * a[::-1]
-        new[j - 1] = r
-        a = new
-        pacf[j - 1] = r
-        v[j] = v[j - 1] * (1.0 - r * r)
+    for j in range(1, v.shape[0]):
         if v[j] <= floor:
             raise SingularToeplitz(
                 f"order-{j} prediction-error variance {v[j]:.3e} at or below "
@@ -251,14 +252,30 @@ def pacf_to_ar(r):
     r = np.atleast_1d(np.asarray(r, dtype=float)) if np.size(r) else np.zeros(0)
     if np.any(np.abs(r) >= 1.0):
         raise ValueError("partial autocorrelations must lie strictly in (-1, 1)")
-    a = np.zeros(0)
-    for j in range(1, r.shape[0] + 1):
-        new = np.empty(j)
-        if j > 1:
-            new[: j - 1] = a - r[j - 1] * a[::-1]
-        new[j - 1] = r[j - 1]
-        a = new
-    return a
+    return _pacf_to_ar_with_jac(r)[0]
+
+
+def _pacf_to_ar_with_jac(r):
+    """Step-up recursion together with the Jacobian d(phi)/d(r), for one
+    vector r of shape (p,) or a stack (N, p).
+
+    Both live in one preallocated array M of shape r.shape[:-1] + (p + 1, p),
+    filled in place: row 0 is the coefficient vector and row c + 1 is the
+    column d(phi)/d(r_c).  Before step k only M[..., :k + 1, :k] is nonzero,
+    and the step reflects exactly that block.  Its row-reversed copy is
+    formed as a temporary first, because M[..., :k + 1, :k] and
+    M[..., :k + 1, k-1::-1] overlap.  Returns phi and J with
+    J[..., i, c] = d(phi_i)/d(r_c) (a view of M).
+    """
+    p = r.shape[-1]
+    M = np.zeros(r.shape[:-1] + (p + 1, p))
+    for k in range(p):
+        if k:
+            M[..., k + 1, :k] = -M[..., 0, k - 1::-1]
+            M[..., : k + 1, :k] -= r[..., k, None, None] * M[..., : k + 1, k - 1::-1]
+        M[..., 0, k] = r[..., k]
+        M[..., k + 1, k] = 1.0
+    return M[..., 0, :], M[..., 1:, :].swapaxes(-1, -2)
 
 
 def ar_to_pacf(phi):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acvf import ArParams, ar_to_pacf, levinson_solve, pacf_to_ar
+from .acvf import ArParams, _pacf_to_ar_with_jac, ar_to_pacf, levinson_solve, pacf_to_ar
 from .companion import ar_spectral_radius, radii_below
 from .errors import NoConvergence, SingularDesign, TooShort
 from .loss import (
@@ -36,8 +36,10 @@ _R_MAX = 1.0 - 1e-10
 # |s| bound that keeps |tanh(s)| <= _R_MAX, so every iterate is stationary.
 _S_MAX = float(np.arctanh(_R_MAX))
 
-# Spectral radius below which a start point is used as it is.
+# Spectral radius below which a start point is used as it is, and the
+# radius a start at or beyond it is scaled to.
 _START_RADIUS = 0.99
+_PROJECT_RADIUS = 0.98
 
 # Forward-difference step in s of the Newton Hessian.
 _H_STEP = 1e-6
@@ -84,13 +86,10 @@ def fit_ols(series, p):
     if p == 0:
         return ArParams(np.zeros(0), float(y @ y) / n)
     X = lag_matrix(y, p)
-    target = y[p:]
-    G = X.T @ X
-    if not _gram_ok(G[None])[0]:
+    phi, ok = _stacked_ols(y[None], X[None])
+    if not ok[0]:
         raise SingularDesign("lagged design Gram matrix is singular")
-    phi = np.linalg.solve(G, X.T @ target)
-    resid = target - X @ phi
-    return ArParams(phi, float(resid @ resid) / resid.shape[0])
+    return ArParams(phi[0], _q_impl(y, X, phi[0], 1, want_grad=False)[0])
 
 
 def _gram_ok(G):
@@ -109,36 +108,14 @@ def _gram_ok(G):
 
 
 def _project_stationary(phi):
-    """Shrink coefficients toward 0 until the spectral radius is < _START_RADIUS."""
-    phi = np.asarray(phi, dtype=float).copy()
-    for _ in range(2000):
-        if ar_spectral_radius(phi) < _START_RADIUS:
-            return phi
-        phi *= 0.95
-    return np.zeros_like(phi)
-
-
-def _pacf_to_ar_with_jac(r):
-    """Step-up recursion together with the Jacobian d(phi)/d(r), for one
-    vector r of shape (p,) or a stack (N, p).
-
-    Both live in one preallocated array M of shape r.shape[:-1] + (p + 1, p),
-    filled in place: row 0 is the coefficient vector and row c + 1 is the
-    column d(phi)/d(r_c).  Before step k only M[..., :k + 1, :k] is nonzero,
-    and the step reflects exactly that block.  Its row-reversed copy is
-    formed as a temporary first, because M[..., :k + 1, :k] and
-    M[..., :k + 1, k-1::-1] overlap.  Returns phi and J with
-    J[..., i, c] = d(phi_i)/d(r_c) (a view of M).
-    """
-    p = r.shape[-1]
-    M = np.zeros(r.shape[:-1] + (p + 1, p))
-    for k in range(p):
-        if k:
-            M[..., k + 1, :k] = -M[..., 0, k - 1::-1]
-            M[..., : k + 1, :k] -= r[..., k, None, None] * M[..., : k + 1, k - 1::-1]
-        M[..., 0, k] = r[..., k]
-        M[..., k + 1, k] = 1.0
-    return M[..., 0, :], M[..., 1:, :].swapaxes(-1, -2)
+    """phi if its spectral radius rho is below _START_RADIUS; otherwise
+    phi_j (_PROJECT_RADIUS / rho)^j, which scales every companion root by
+    _PROJECT_RADIUS / rho and so lands at radius _PROJECT_RADIUS."""
+    phi = np.asarray(phi, dtype=float)
+    rho = ar_spectral_radius(phi)
+    if rho < _START_RADIUS:
+        return phi
+    return phi * (_PROJECT_RADIUS / rho) ** np.arange(1, phi.shape[0] + 1)
 
 
 def _phi_to_s(phi):
@@ -261,14 +238,6 @@ def minimize(moments, m, starts, opts, groups=None):
     return S[pick], q[pick] * scale, ginf[pick] * scale, total, converged[pick]
 
 
-def _ols_or_none(y, p):
-    """``fit_ols(y, p)``, or None where it raises SingularDesign or TooShort."""
-    try:
-        return fit_ols(y, p)
-    except (SingularDesign, TooShort):
-        return None
-
-
 def _stacked_ols(Y, X):
     """``fit_ols``'s coefficients for every row y of a stack Y (B, n), with
     X[b] = lag_matrix(Y[b], p): (phi (B, p), ok (B,)), zeros where ok is
@@ -291,9 +260,8 @@ def _ols_starts(Y, X, p):
     """The start coefficients of ``fit_match`` for every row y of a stack
     Y (G, n) with X = lag_matrix(Y, p), p >= 1: the OLS solution of
     ``fit_ols(y, p)``, or zeros where that raises SingularDesign or
-    TooShort, projected inside _START_RADIUS; shape (G, p).
-
-    ``radii_below`` finds the rows that need projecting.
+    TooShort, projected inside _START_RADIUS (``_project_stationary``);
+    shape (G, p).  ``radii_below`` finds the rows that need projecting.
     """
     phi = _stacked_ols(Y, X)[0] if Y.shape[1] >= 2 * p + 1 else np.zeros((Y.shape[0], p))
     for i in np.flatnonzero(~radii_below(phi, _START_RADIUS)):
@@ -312,6 +280,8 @@ def _fit_match_stack(Y, p, m, opts):
     projected inside _START_RADIUS, plus the jittered copies), and back the
     same FitResult, bit for bit: every step of the solver acts on each row
     alone, so a series' result does not depend on the others in its stack.
+    The tail runs for the whole stack too: one step-up call, then sigma2
+    (the m = 1 criterion) and q from the stacked residual kernel.
     """
     G = Y.shape[0]
     X = lag_matrix(Y, p)
@@ -321,30 +291,21 @@ def _fit_match_stack(Y, p, m, opts):
     # skips the per-row indexing and solves faster.
     moments = _empirical_moments(Y, X, p, m) if G > 1 else _empirical_moments(Y[0], X[0], p, m)
     S, _, grad_inf, iterations, converged = minimize(moments, m, starts.reshape(-1, p), opts, groups)
-    fits = []
-    for y, Xg, s, ginf, iters, conv in zip(Y, X, S, grad_inf, iterations, converged):
-        phi = pacf_to_ar(np.tanh(s))
-        resid = y[p:] - Xg @ phi
-        model = ArParams(phi, float(resid @ resid) / resid.shape[0])
-        fits.append(
-            FitResult(
-                model,
-                empirical_q(y, model, m),
-                m,
-                p,
-                iterations=int(iters),
-                restarts=starts.shape[1] - 1,
-                converged=bool(conv),
-                grad_norm=float(ginf),
-            )
-        )
-    return fits
+    phi = _pacf_to_ar_with_jac(np.tanh(S))[0]
+    sigma2 = _q_impl(Y, X, phi, 1, want_grad=False)[0].tolist()
+    q = _q_impl(Y, X, phi, m, want_grad=False)[0].tolist()
+    restarts = starts.shape[1] - 1
+    return [
+        FitResult(ArParams(f, s2), qv, m, p, iterations=it, restarts=restarts, converged=c, grad_norm=g)
+        for f, s2, qv, it, c, g in zip(phi, sigma2, q, iterations.tolist(), converged.tolist(), grad_inf.tolist())
+    ]
 
 
 def fit_match(series, p, m, opts=None):
     """Minimize the up-to-m-step prediction criterion over stationary AR(p).
 
-    Multi-start, one batch: the (projected) OLS solution plus
+    Multi-start, one batch: the OLS solution (root-scaled to radius
+    _PROJECT_RADIUS when its radius is _START_RADIUS or more) plus
     ``opts.extra_starts`` deterministic jittered copies.  Never raises on
     a hard instance: if no start converges the best point found is
     returned with ``converged=False``.  Past the p = 0 and m = 1 closed
@@ -358,14 +319,15 @@ def fit_match(series, p, m, opts=None):
     if p == 0:
         model = ArParams(np.zeros(0), float(y @ y) / n)
         return FitResult(model, empirical_q(y, model, m), m, 0)
-    if m == 1:
-        ols = _ols_or_none(y, p)
-        if ols is not None and ar_spectral_radius(ols.phi) < 1.0:
+    if m == 1 and n >= 2 * p + 1:
+        X = lag_matrix(y, p)
+        phi, ok = _stacked_ols(y[None], X[None])
+        if ok[0] and ar_spectral_radius(phi[0]) < 1.0:
             # At m = 1 the criterion is exactly the conditional least-squares
             # quadratic, so a stationary OLS solution is the exact minimizer
             # over the (open) stationary region; skip the iterative solver.
-            q, g = _q_impl(y, lag_matrix(y, p), ols.phi, 1, want_grad=True)
-            return FitResult(ols, q, 1, p, converged=True, grad_norm=float(np.max(np.abs(g))))
+            q, g = _q_impl(y, X, phi[0], 1, want_grad=True)
+            return FitResult(ArParams(phi[0], q), q, 1, p, converged=True, grad_norm=float(np.max(np.abs(g))))
     return _fit_match_stack(y[None], p, m, opts)[0]
 
 

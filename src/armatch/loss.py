@@ -14,8 +14,10 @@ s_k = gamma(0), c_k = (gamma(k), ..., gamma(k+p-1)) and
 G_k = Toeplitz(gamma(0..p-1)).  ``_moments_q`` evaluates the form and its
 gradient in phi for either source in O(m p^2), independent of the series
 length, for one coefficient vector or a stack of them; the fits optimize
-through it.  ``empirical_q`` instead sums the residuals directly, which
-stays accurate when Q is far below s_k.  Series are treated as mean-zero:
+through it.  The residual kernel ``_q_impl`` instead sums the residuals
+directly, which stays accurate when Q is far below s_k; it scores one
+series (``empirical_q``) or a stack of them (the stacked fits and the
+bootstrap), any p >= 0, with the same bits.  Series are treated as mean-zero:
 nothing here ever centers the data.  ``ar_filter`` runs the AR recursion
 itself on the same table: the impulse response is h_k = alpha_k[0].
 """
@@ -31,12 +33,14 @@ def lag_matrix(y, p):
     """Rows (y_t, y_{t-1}, ..., y_{t-p+1}) for t = p..n-1 (0-based t = p-1..n-2).
 
     Shape (n - p, p) for one series y (n,), (B, n - p, p) for a stack
-    (B, n); always a fresh C-contiguous array, so a stack's slice X[b] is
-    laid out, and multiplies, exactly as the one-series matrix.  Row i
-    predicts y at index p + i (+ horizon - 1).
+    (B, n), and zero columns at p = 0; always a fresh C-contiguous array,
+    so a stack's slice X[b] is laid out, and multiplies, exactly as the
+    one-series matrix.  Row i predicts y at index p + i (+ horizon - 1).
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
+    if p == 0:
+        return np.empty(y.shape + (0,))
     return np.stack([y[..., p - 1 - j: n - 1 - j] for j in range(p)], axis=-1)
 
 
@@ -217,21 +221,38 @@ def _empirical_moments(y, X, p, m):
 def _q_impl(y, X, phi, m, want_grad):
     """The empirical criterion summed over the residuals of horizons 1..m
     and, when requested, its exact gradient in phi (by the adjoint
-    recursion, with w_k = -(2 / (m rows_k)) X_k' r_k)."""
-    n = y.shape[0]
-    p = phi.shape[0]
-    alpha = _predictors(phi, m)
+    recursion, with w_k = -(2 / (m rows_k)) X_k' r_k), p >= 0.
+
+    One series y (n,) with X = lag_matrix(y, p) and phi (p,) gives a float
+    q; a stack y (B, n) with its lag matrices X (B, n - p, p) and phi
+    (B, p) gives q (B,).  Every product is a stacked ``@`` acting on one
+    slice of X as on a one-series matrix, so a stack's row equals the
+    one-series call bit for bit.
+    """
+    n, p = y.shape[-1], phi.shape[-1]
+    alpha = _predictors(phi, m) if p else None
     total = 0.0
-    W = np.empty((m, p)) if want_grad else None
+    W = np.empty((m,) + phi.shape) if want_grad else None
     for k in range(1, m + 1):
         rows = n - k - p + 1
-        resid = y[p + k - 1:] - X[:rows] @ alpha[k]
-        total += float(resid @ resid) / rows
+        resid = y[..., p + k - 1:]
+        if p:
+            resid = resid - (X[..., :rows, :] @ alpha[k][..., None])[..., 0]
+        total = total + (resid[..., None, :] @ resid[..., None])[..., 0, 0] / rows
         if want_grad:
-            W[k - 1] = (-2.0 / (m * rows)) * (X[:rows].T @ resid)
-    if want_grad:
-        return total / m, _adjoint_grad(phi, alpha, W)
-    return total / m, None
+            W[k - 1] = (-2.0 / (m * rows)) * (X[..., :rows, :].swapaxes(-1, -2) @ resid[..., None])[..., 0]
+    q = total / m if y.ndim > 1 else float(total) / m
+    return q, _adjoint_grad(phi, alpha, W) if want_grad else None
+
+
+def _criterion_series(series, p, m):
+    """The series of an empirical criterion of order p and horizon m, as a
+    float array, after the checks both criteria share."""
+    y = _finite_series(series)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    _check_length(y.shape[0], p, m)
+    return y
 
 
 def empirical_q(series, model, m):
@@ -241,18 +262,8 @@ def empirical_q(series, model, m):
     with alpha_k the model-implied k-step predictor.  For p = 0 the
     predictor is zero and the k-sum runs over n - k + 1 terms.
     """
-    y = _finite_series(series)
-    n = y.shape[0]
-    p = model.order
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _check_length(n, p, m)
-    if p == 0:
-        total = 0.0
-        for k in range(1, m + 1):
-            total += float(y[k - 1:] @ y[k - 1:]) / (n - k + 1)
-        return total / m
-    return _q_impl(y, lag_matrix(y, p), model.phi, m, want_grad=False)[0]
+    y = _criterion_series(series, model.order, m)
+    return _q_impl(y, lag_matrix(y, model.order), model.phi, m, want_grad=False)[0]
 
 
 def empirical_q_gradient(series, model, m):
@@ -262,14 +273,10 @@ def empirical_q_gradient(series, model, m):
     product rule over the k companion factors:
     d(alpha_k)/d(phi_j) = sum_{i=0..k-1} (C^i)_[0,0] * (C^{k-1-i})_[j-1, :].
     """
-    y = np.asarray(series, dtype=float)
-    n = y.shape[0]
     p = model.order
     if p < 1:
         raise ValueError("gradient requires p >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _check_length(n, p, m)
+    y = _criterion_series(series, p, m)
     return _q_impl(y, lag_matrix(y, p), model.phi, m, want_grad=True)[1]
 
 

@@ -10,31 +10,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .acvf import AcvfSeq, ar_acvf
 from .companion import radii_below
 from .errors import BootstrapFailed, DegenerateFit, TooShort
-from .estimator import (
-    _START_RADIUS,
-    FitOptions,
-    _match_starts,
-    _pacf_to_ar_with_jac,
-    _stacked_ols,
-    fit_match,
-    fit_ols,
-    minimize,
-)
-from .loss import (
-    _empirical_moments,
-    _finite_series,
-    _moments_q,
-    _population_moments,
-    _predictors,
-    ar_filter,
-    lag_matrix,
-    population_q,
-)
+from .estimator import FitOptions, _fit_match_stack, _stacked_ols, fit_match, fit_ols
+from .loss import _finite_series, _moments_q, _population_moments, _q_impl, ar_filter, lag_matrix, population_q
 from .seeding import rng_from, stream_integers
 
 __all__ = [
@@ -106,13 +87,6 @@ def approx_decrease(truth, p, m, opts=None):
     return lhs, rhs
 
 
-def _one_step_residuals(y, model):
-    p = model.order
-    if p == 0:
-        return y.copy()
-    return y[p:] - lag_matrix(y, p) @ model.phi
-
-
 def _simulate_fitted(model, resid_pool, n, rng):
     """Generate a length-n series from the fitted AR recursion with
     innovations resampled i.i.d. (with replacement) from the centered
@@ -158,20 +132,6 @@ def _bootstrap_replicate(args):
     return lstar_b - (l_b - z_b)
 
 
-def _residual_q(y, X, phi, m):
-    """``empirical_q`` of each row of the stack (y, X, phi), summed over the
-    residuals of horizons 1..m."""
-    p = phi.shape[1]
-    alpha = _predictors(phi, m) if p else None
-    q = 0.0
-    for k in range(1, m + 1):
-        resid = y[:, p + k - 1:]
-        if p:
-            resid = resid - (X[:, : resid.shape[1]] @ alpha[k][..., None])[..., 0]
-        q = q + np.einsum("ij,ij->i", resid, resid) / resid.shape[1]
-    return q / m
-
-
 def _batched_diffs(tasks):
     """``[_bootstrap_replicate(t) for t in tasks]`` for the tasks of one
     order (they differ only in b), computed as one batch.
@@ -179,17 +139,16 @@ def _batched_diffs(tasks):
     Replicate b still draws its innovations from the stream of
     rng_from(seed, p, b), as ``_simulate_fitted`` does, but the indices of
     all B streams are drawn in one pass (``stream_integers``).  The B
-    series are filtered together and their OLS solutions come from one
-    stacked (B, p, p) solve.  At m = 1 that solution is the fit.  At m > 1
-    it is the start of ``fit_match``: the jittered start rows of all B
-    replicates run through one ``minimize`` call, one group per replicate,
-    on their stacked empirical moments.  The in-sample criterion comes from
-    the residuals and the population criterion Q* from the moments of
-    gamma_hat, for all replicates at once.  A replicate that fails a check
-    of the per-replicate path is redone by ``_bootstrap_replicate``: a
-    near-singular Gram matrix, an OLS start that ``_project_stationary``
-    would move (m > 1), a fitted model that is not stationary, or a
-    difference that is not finite.
+    series are filtered together.  At m = 1 their fits are the OLS
+    solutions of one stacked (B, p, p) solve.  At m > 1 they are
+    ``fit_match``'s stacked path, ``_fit_match_stack``, which gives each
+    replicate the fit ``fit_match`` gives its series, projected start and
+    singular design included.  The in-sample criterion comes from the
+    stacked residual kernel ``_q_impl`` and the population criterion Q*
+    from the moments of gamma_hat, for all replicates at once.  A replicate
+    that fails a check of the per-replicate path is redone by
+    ``_bootstrap_replicate``: a near-singular Gram matrix (m = 1), a fitted
+    model that is not stationary, or a difference that is not finite.
     """
     model, pool, gamma_hat, ell, p, m, seed, _, opts = tasks[0]
     burn = _BURNIN_BASE + p
@@ -197,26 +156,20 @@ def _batched_diffs(tasks):
     eps = pool[stream_integers(seed, p, [task[7] for task in tasks], pool.shape[0], ell + burn)]
     tail = eps[:, burn + p:]
     tail_ms = np.einsum("ij,ij->i", tail, tail) / tail.shape[1]
-    if p == 0:
-        ok = np.ones(len(tasks), dtype=bool)
-        y, X, phi = eps[:, burn:], None, np.zeros((len(tasks), 0))
-        qstar = gamma_hat.gamma[0]
+    y = eps[:, burn:] if p == 0 else ar_filter(model.phi, eps)[:, burn:]
+    ok = np.ones(len(tasks), dtype=bool)
+    if p == 0 or m == 1:
+        X = lag_matrix(y, p)
+        phi, ok = _stacked_ols(y, X) if p else (np.zeros((len(tasks), 0)), ok)
+        q = _q_impl(y, X, phi, m, want_grad=False)[0]
     else:
-        y = ar_filter(model.phi, eps)[:, burn:]
-        X = sliding_window_view(y, p, axis=1)[:, : ell - p, ::-1]  # X[b] = lag_matrix(y[b], p)
-        phi, ok = _stacked_ols(y, X)
-        if m > 1:  # fit_match from the OLS start, unless it needs projecting
-            ok &= radii_below(phi, _START_RADIUS)
-            if np.any(ok):
-                opts = opts or FitOptions()
-                starts = _match_starts(phi[ok], opts)
-                groups = np.repeat(np.arange(starts.shape[0]), starts.shape[1])
-                moments = _empirical_moments(y[ok], X[ok], p, m)
-                S = minimize(moments, m, starts.reshape(-1, p), opts, groups)[0]
-                phi[ok] = _pacf_to_ar_with_jac(np.tanh(S))[0]
+        fits = _fit_match_stack(y, p, m, opts or FitOptions())
+        phi = np.array([fit.model.phi for fit in fits])
+        q = np.array([fit.q_value for fit in fits])
+    qstar = gamma_hat.gamma[0]
+    if p:
         ok &= radii_below(phi, 1.0)
         qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
-    q = _residual_q(y, X, phi, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         diffs = np.log(qstar) - (np.log(q) - np.log(tail_ms))
     ok &= np.isfinite(diffs)
@@ -242,7 +195,7 @@ def _bootstrap_tasks(y, fit, m, B, seed, opts):
     """The replicate tasks b = 1..B of a fitted order (see
     ``_bootstrap_replicate``)."""
     p = fit.order
-    resid = _one_step_residuals(y, fit.model)
+    resid = y[p:] - lag_matrix(y, p) @ fit.model.phi
     resid = resid - resid.mean()
     if float(resid @ resid) <= 0.0:
         raise DegenerateFit("residuals are identically zero; cannot bootstrap")

@@ -14,6 +14,7 @@ from armatch import (
     levinson_solve,
     pacf_to_ar,
 )
+from armatch.acvf import _durbin
 from armatch.companion import ar_spectral_radius
 
 
@@ -37,6 +38,13 @@ class TestLevinsonSolve:
     def test_perfect_correlation_is_singular(self):
         with pytest.raises(SingularToeplitz):
             levinson_solve(AcvfSeq([1.0, 1.0, 1.0]), 2)
+
+    def test_singular_names_the_first_order_below_the_floor(self):
+        # An AR(1) with phi = 1 - 1e-13: every variance from order 1 on is
+        # about 2e-13 gamma(0), below the floor but positive.
+        g = (1.0 - 1e-13) ** np.arange(4)
+        with pytest.raises(SingularToeplitz, match="order-1 prediction-error"):
+            levinson_solve(AcvfSeq(g), 3)
 
     def test_insufficient_lags(self):
         with pytest.raises(InsufficientLags):
@@ -178,3 +186,98 @@ class TestAcvfSeq:
         g[13] = 0.95
         with pytest.raises(ValueError, match="indefinite"):
             AcvfSeq(g)
+
+
+def _durbin_oracle(g, p):
+    """The Durbin loop ``levinson_solve`` ran on its own, floor check left
+    out: (phi, pacf, v) of every order up to p."""
+    v = np.empty(p + 1)
+    v[0] = g[0]
+    pacf = np.empty(p)
+    a = np.zeros(0)
+    for j in range(1, p + 1):
+        r = (g[j] - a @ g[j - 1:0:-1]) / v[j - 1] if j > 1 else g[1] / v[0]
+        new = np.empty(j)
+        if j > 1:
+            new[: j - 1] = a - r * a[::-1]
+        new[j - 1] = r
+        a = new
+        pacf[j - 1] = r
+        v[j] = v[j - 1] * (1.0 - r * r)
+    return a, pacf, v
+
+
+def _psd_oracle(g):
+    """The order named by the PSD check ``AcvfSeq`` ran on its own, or None
+    if it passes."""
+    v = g[0]
+    a = np.zeros(0)
+    for j in range(1, g.shape[0]):
+        if v <= 0.0:
+            break
+        r = (g[j] - a @ g[j - 1:0:-1]) / v if j > 1 else g[1] / v
+        new = np.empty(j)
+        if j > 1:
+            new[: j - 1] = a - r * a[::-1]
+        new[j - 1] = r
+        a = new
+        v = v * (1.0 - r * r)
+        if v < -1e-10 * g[0]:
+            return j
+    return None
+
+
+class TestDurbin:
+    def test_equals_the_levinson_loop_bit_for_bit(self):
+        rng = np.random.default_rng(81)
+        for _ in range(300):
+            p = int(rng.integers(1, 16))
+            truth = ar_acvf(ArParams(pacf_to_ar(rng.uniform(-0.99, 0.99, p)), 10.0 ** rng.uniform(-3, 3)), p + 3)
+            for order in (1, p, p + 3):
+                got = _durbin(truth.gamma, order)
+                want = _durbin_oracle(truth.gamma, order)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+                solved = levinson_solve(truth, order)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(solved, want))
+
+    def test_stops_after_the_first_non_positive_variance(self):
+        g = np.array([1.0, 1.0, 0.5, 0.2])
+        phi, pacf, v = _durbin(g, 3)
+        assert pacf.tolist() == [1.0] and v.tolist() == [1.0, 0.0] and phi.tolist() == [1.0]
+
+    def test_acvf_seq_rejects_at_the_same_order(self):
+        # Random symmetric sequences, most of them indefinite at some order,
+        # after two whose order-2 variance is -1e-8 (rejected) and -1e-12
+        # (inside the roundoff slack) of gamma(0).
+        rng = np.random.default_rng(83)
+        named = set()
+        hand = [np.array([1.0, 0.9, 0.81 - 0.19 * np.sqrt(1.0 + d / 0.19)]) for d in (1e-8, 1e-12)]
+        for _ in range(400):
+            K = int(rng.integers(1, 15))
+            g = hand.pop() if hand else np.concatenate(
+                ([1.0], rng.uniform(-1.0, 1.0, K) * rng.uniform(0.2, 1.0) ** np.arange(1, K + 1))
+            )
+            j = _psd_oracle(g)
+            if j is None:
+                AcvfSeq(g)
+            else:
+                named.add(j)
+                with pytest.raises(ValueError, match=f"order-{j} Toeplitz minor is indefinite"):
+                    AcvfSeq(g)
+        assert len(named) >= 4
+
+
+def test_step_up_equals_the_plain_loop_bit_for_bit():
+    # pacf_to_ar is row 0 of the step-up with Jacobian; it must give the
+    # bits of the plain step-up loop.
+    rng = np.random.default_rng(85)
+    for _ in range(2000):
+        r = rng.uniform(-0.999, 0.999, int(rng.integers(0, 13)))
+        a = np.zeros(0)
+        for j in range(1, r.shape[0] + 1):
+            new = np.empty(j)
+            if j > 1:
+                new[: j - 1] = a - r[j - 1] * a[::-1]
+            new[j - 1] = r[j - 1]
+            a = new
+        assert pacf_to_ar(r).tobytes() == a.tobytes()

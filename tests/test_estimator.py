@@ -25,7 +25,9 @@ from armatch import (
 )
 
 from armatch import estimator
-from armatch.estimator import _JITTERS, _pacf_to_ar_with_jac, _phi_to_s
+from armatch.acvf import _pacf_to_ar_with_jac
+from armatch.companion import ar_spectral_radius
+from armatch.estimator import _JITTERS, _phi_to_s
 from armatch.loss import _empirical_moments, _moments_q, lag_matrix
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
@@ -363,12 +365,35 @@ def test_stacked_ols_starts_equal_per_series_path(p, n):
     got = estimator._ols_starts(Y, lag_matrix(Y, p), p)
     singular = projected = 0
     for y, row in zip(Y, got):
-        ols = estimator._ols_or_none(y, p)
-        singular += ols is None
-        projected += ols is not None and estimator.ar_spectral_radius(ols.phi) >= estimator._START_RADIUS
-        assert row.tobytes() == estimator._project_stationary(ols.phi if ols is not None else np.zeros(p)).tobytes()
+        try:
+            start = fit_ols(y, p).phi
+        except (SingularDesign, TooShort):
+            start = np.zeros(p)
+            singular += 1
+        projected += ar_spectral_radius(start) >= estimator._START_RADIUS
+        assert row.tobytes() == estimator._project_stationary(start).tobytes()
     assert singular >= (len(rows) if n < 2 * p + 1 else 1 + (p >= 2))
     assert projected >= (n >= 2 * p + 1)
+
+
+def test_projection_scales_every_root_to_the_projection_radius():
+    # phi_j (c / rho)^j scales each companion root by c / rho, so one
+    # eigvals call lands the start at radius c; a start inside
+    # _START_RADIUS is kept as it is.
+    rng = np.random.default_rng(5)
+    c = estimator._PROJECT_RADIUS
+    # Radii just inside and at or above _START_RADIUS, real and complex roots.
+    edge = [np.array([x]) for x in (0.985, -0.99, 0.995)]
+    edge += [np.array([2 * x * np.cos(1.0), -x * x]) for x in (0.985, 0.99, 0.995)]
+    done = 0
+    while done < 300:
+        phi = edge.pop() if edge else rng.uniform(-3.0, 3.0, int(rng.integers(1, 13)))
+        rho = ar_spectral_radius(phi)
+        if rho < estimator._START_RADIUS:
+            assert estimator._project_stationary(phi).tobytes() == phi.tobytes()
+            continue
+        assert abs(ar_spectral_radius(estimator._project_stationary(phi)) - c) <= 1e-12
+        done += 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,10 +19,12 @@ from armatch import (
 )
 from armatch.loss import (
     _FILTER_BLOCK,
+    _adjoint_grad,
     _empirical_moments,
     _moments_q,
     _population_moments,
     _predictors,
+    _q_impl,
     ar_filter,
     lag_matrix,
 )
@@ -65,6 +67,15 @@ class TestEmpiricalQ:
 
 
 class TestGradient:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        y = np.random.default_rng(73).standard_normal(30)
+        y[7] = bad
+        with pytest.raises(ValueError, match="series must be finite"):
+            empirical_q(y, ArParams([0.5], 1.0), 2)
+        with pytest.raises(ValueError, match="series must be finite"):
+            empirical_q_gradient(y, ArParams([0.5], 1.0), 2)
+
     def test_hand_value(self):
         # (2/3) sum (phi y_t - y_{t+1}) y_t at phi = 0.5 equals 1/3
         g = empirical_q_gradient(Y4, ArParams([0.5], 1.0), 1)
@@ -95,6 +106,48 @@ class TestGradient:
                 ) / (2 * h)
             scale = max(np.max(np.abs(fd)), 1e-6)
             assert np.max(np.abs(g - fd)) / scale < 1e-5
+
+
+def _q_oracle(y, p, phi, m):
+    """The one-series residual loop (value and gradient) as it was before
+    the kernel took stacks; p = 0 as empirical_q's own loop was."""
+    n = y.shape[0]
+    if p == 0:
+        return sum(float(y[k - 1:] @ y[k - 1:]) / (n - k + 1) for k in range(1, m + 1)) / m, None
+    X = lag_matrix(y, p)
+    alpha = _predictors(phi, m)
+    total = 0.0
+    W = np.empty((m, p))
+    for k in range(1, m + 1):
+        rows = n - k - p + 1
+        resid = y[p + k - 1:] - X[:rows] @ alpha[k]
+        total += float(resid @ resid) / rows
+        W[k - 1] = (-2.0 / (m * rows)) * (X[:rows].T @ resid)
+    return total / m, _adjoint_grad(phi, alpha, W)
+
+
+class TestStackedResidualKernel:
+    def test_stack_rows_equal_one_series_calls(self):
+        # Values and gradients of every row, bit for bit, against the
+        # one-series call on that row's series, and that call against the
+        # one-series loop.
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            p = int(rng.integers(0, 11))
+            m = int(rng.integers(1, 21))
+            B = int(rng.integers(1, 9))
+            n = int(rng.integers(p + m + 1, 120))
+            Y = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((B, n))
+            phi = np.array([pacf_to_ar(rng.uniform(-0.95, 0.95, p)) for _ in range(B)]).reshape(B, p)
+            want_grad = p > 0
+            q, g = _q_impl(Y, lag_matrix(Y, p), phi, m, want_grad)
+            assert q.shape == (B,)
+            for b in range(B):
+                q1, g1 = _q_impl(Y[b], lag_matrix(Y[b], p), phi[b], m, want_grad)
+                q0, g0 = _q_oracle(Y[b], p, phi[b], m)
+                assert isinstance(q1, float) and q1 == q[b] == q0, (p, m, B)
+                if want_grad:
+                    assert g1.tobytes() == g[b].tobytes() == g0.tobytes(), (p, m, B)
 
 
 class TestPopulationQ:

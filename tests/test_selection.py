@@ -13,13 +13,14 @@ from armatch import (
     ar_acvf,
     arma_acvf,
     bootstrap_bias,
+    fit_match,
     ideal_log_loss,
     log_loss,
     select_order,
     simulate_arma,
     simulate_tar,
 )
-from armatch import parallel, selection
+from armatch import estimator, parallel, selection
 from armatch.acvf import ArParams
 from armatch.seeding import mix_seed, rng_from, stream_integers
 
@@ -168,6 +169,24 @@ class TestBatchedBootstrap:
         assert batched[4] == oracle(tasks[4])
         np.testing.assert_allclose(batched, [oracle(t) for t in tasks], rtol=1e-12, atol=1e-14)
 
+    def test_failed_gram_check_falls_back(self, monkeypatch):
+        y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 74)
+        tasks = _order_tasks(y, 2, 1, 10, seed=3)
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        real = selection._stacked_ols
+
+        def one_fails(Y, X):
+            phi, ok = real(Y, X)
+            ok[6] = False
+            return phi, ok
+
+        monkeypatch.setattr(selection, "_stacked_ols", one_fails)
+        redone = _recording_oracle(monkeypatch)
+        batched = selection._batched_diffs(tasks)
+        assert redone == [7]
+        assert batched[6] == oracle[6]
+        np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=1e-14)
+
     # n = 2^31 + 1 and 3 * 2^30 + 7 reject about a half and a quarter of
     # all 32-bit halves, so most of their rows are redrawn by numpy; 2^32 - 5
     # and 2^32 - 1 are at the top of the mapped range, 2^32 and 2^40 outside it.
@@ -208,6 +227,17 @@ class TestBatchedBootstrap:
         assert math.isnan(select_order(y, 1, 1, 1, seed=4).rows[1].bias_se)
 
 
+def _same_fit(a, b):
+    """FitResult equality field for field, bit for bit."""
+    return (
+        a.model.phi.tobytes() == b.model.phi.tobytes()
+        and repr(a.model.sigma2) == repr(b.model.sigma2)
+        and repr(a.q_value) == repr(b.q_value)
+        and (a.m, a.order, a.iterations, a.restarts, a.converged) == (b.m, b.order, b.iterations, b.restarts, b.converged)
+        and repr(a.grad_norm) == repr(b.grad_norm)
+    )
+
+
 def _recording_oracle(monkeypatch):
     """Record the b of every replicate the batch redoes with the oracle."""
     oracle = selection._bootstrap_replicate
@@ -241,28 +271,63 @@ class TestMultistepBatch:
         # fits stop within the solver's tolerance of the same minimum.
         np.testing.assert_allclose(*zip(*kept), rtol=0, atol=1e-7)
 
-    def test_failed_gram_check_falls_back(self, monkeypatch):
+    def test_fits_are_fit_match_on_the_batch_series(self, monkeypatch):
+        # Every replicate's fit is the one fit_match gives its series, bit
+        # for bit, including a replicate whose OLS design fails the Gram
+        # check: it starts from zeros inside the batch, as fit_match does.
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
         tasks = _order_tasks(y, 2, 3, 10, seed=3)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        real = selection._stacked_ols
+        stacks = []
+        real_stack = selection._fit_match_stack
 
-        def one_fails(Y, X):
-            phi, ok = real(Y, X)
-            ok[6] = False
+        def recording(Y, *args):
+            stacks.append((Y.copy(), real_stack(Y, *args)))
+            return stacks[-1][1]
+
+        monkeypatch.setattr(selection, "_fit_match_stack", recording)
+        selection._batched_diffs(tasks)
+        singular = stacks[0][0][6, :3]
+        real_ols = estimator._stacked_ols
+        failed = []
+
+        def singular_row(Y, X):
+            phi, ok = real_ols(Y, X)
+            hit = np.all(Y[:, :3] == singular, axis=1)
+            failed.append(int(np.sum(hit)))
+            ok &= ~hit
+            phi[hit] = 0.0
             return phi, ok
 
-        monkeypatch.setattr(selection, "_stacked_ols", one_fails)
+        monkeypatch.setattr(estimator, "_stacked_ols", singular_row)
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
-        assert redone == [7]
-        assert batched[6] == oracle[6]
+        assert redone == [] and np.all(np.isfinite(batched))
+        Y, fits = stacks[1]
+        for y_b, fit in zip(Y, fits):
+            assert _same_fit(fit, fit_match(y_b, 2, 3))
+        assert failed == [1] + [0] * 6 + [1] + [0] * 3  # the batch, then fit_match on rows 0..9
+        assert fits[6].model.phi.tobytes() != stacks[0][1][6].model.phi.tobytes()
+
+    def test_projected_start_stays_in_batch(self, monkeypatch):
+        # Near a unit root many bootstrap OLS starts have radius 0.99 or
+        # more; fit_match projects them, and so does the batch.
+        y = simulate_arma(ArmaSpec([0.995], [], 1.0), 300, 79)
+        tasks = _order_tasks(y, 1, 3, 12, seed=3)
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        real = estimator._project_stationary
+        projected = []
+
+        def recording(phi):
+            projected.append(estimator.ar_spectral_radius(phi) >= estimator._START_RADIUS)
+            return real(phi)
+
+        monkeypatch.setattr(estimator, "_project_stationary", recording)
+        redone = _recording_oracle(monkeypatch)
+        batched = selection._batched_diffs(tasks)
+        assert redone == [] and sum(projected) >= 2
         np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-7)
 
-    # Call 0 checks the OLS start (a radius of 0.99 or more needs
-    # _project_stationary), call 1 the fitted model.
-    @pytest.mark.parametrize("call, radius", [(0, 0.995), (1, 1.0)])
-    def test_failed_stationarity_check_falls_back(self, monkeypatch, call, radius):
+    def test_failed_stationarity_check_falls_back(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 75)
         tasks = _order_tasks(y, 3, 4, 10, seed=3)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
@@ -271,15 +336,14 @@ class TestMultistepBatch:
 
         def one_fails(phis, c):
             below = real(phis, c)
-            if len(calls) == call:
-                below[4] = radius < c
-            calls.append(phis.shape)
+            below[4] = False
+            calls.append(c)
             return below
 
         monkeypatch.setattr(selection, "radii_below", one_fails)
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
-        assert len(calls) == 2 and redone == [5]
+        assert calls == [1.0] and redone == [5]
         assert batched[4] == oracle[4]
         np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-7)
 
@@ -321,7 +385,8 @@ class TestOrderZeroPenalty:
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 78)
         tasks = _order_tasks(y, 0, 4, 15, seed=6)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        monkeypatch.setattr(selection, "minimize", None)
+        monkeypatch.setattr(selection, "_fit_match_stack", None)
+        monkeypatch.setattr(estimator, "minimize", None)
         monkeypatch.setattr(selection, "_bootstrap_replicate", None)
         np.testing.assert_allclose(selection._batched_diffs(tasks), oracle, rtol=0, atol=1e-14)
 
