@@ -261,20 +261,20 @@ def _pacf_to_ar_with_jac(r):
 
     Both live in one preallocated array M of shape r.shape[:-1] + (p + 1, p),
     filled in place: row 0 is the coefficient vector and row c + 1 is the
-    column d(phi)/d(r_c).  Before step k only M[..., :k + 1, :k] is nonzero,
-    and the step reflects exactly that block.  Its row-reversed copy is
+    column d(phi)/d(r_c).  Column k enters as (r_k, e_k): step k reads and
+    writes only the block M[..., :k + 1, :k], so the later columns can be
+    set up front.  The step reflects that block; its row-reversed copy is
     formed as a temporary first, because M[..., :k + 1, :k] and
     M[..., :k + 1, k-1::-1] overlap.  Returns phi and J with
     J[..., i, c] = d(phi_i)/d(r_c) (a view of M).
     """
     p = r.shape[-1]
     M = np.zeros(r.shape[:-1] + (p + 1, p))
-    for k in range(p):
-        if k:
-            M[..., k + 1, :k] = -M[..., 0, k - 1::-1]
-            M[..., : k + 1, :k] -= r[..., k, None, None] * M[..., : k + 1, k - 1::-1]
-        M[..., 0, k] = r[..., k]
-        M[..., k + 1, k] = 1.0
+    M[..., 0, :] = r
+    M[..., 1:, :] = np.eye(p)
+    for k in range(1, p):
+        M[..., k + 1, :k] = -M[..., 0, k - 1::-1]
+        M[..., : k + 1, :k] -= r[..., k, None, None] * M[..., : k + 1, k - 1::-1]
     return M[..., 0, :], M[..., 1:, :].swapaxes(-1, -2)
 
 

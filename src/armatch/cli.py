@@ -8,6 +8,7 @@ fixed flags, including under --jobs > 1.
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -287,7 +288,10 @@ def cmd_experiment(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="armatch",
         description="AR model fitting by multi-step prediction matching",

@@ -57,18 +57,43 @@ def ar_spectral_radii(phis):
 _SCREEN_MARGIN = 1e-6
 
 
+def _squared_root_poly(phis):
+    """Coefficients d (B, p) of prod_i (w - z_i^2) = w^p + d_1 w^(p-1) + ...
+    + d_p over the companion roots z_i of each row of a (B, p) stack.
+
+    With a = (1, -phi_1, ..., -phi_p), P(x) = sum_j a_j x^j satisfies
+    P(x) P(-x) = sum_l d_l x^(2l), d_l = sum_(i+j=2l) (-1)^j a_i a_j; the odd
+    powers cancel.  One step of Graeffe's root-squaring method.
+    """
+    B, p = phis.shape
+    a = np.concatenate([np.ones((B, 1)), -phis], axis=1)
+    j = np.arange(p + 1)
+    terms = np.zeros((B, p + 1, 2 * p + 1))
+    terms[:, j[:, None], j[:, None] + j] = a[:, :, None] * (a * (-1.0) ** j)[:, None, :]
+    return np.add.reduce(terms, axis=1)[:, 2::2]
+
+
 def radii_below(phis, c):
     """``ar_spectral_radii(phis) < c`` for a (B, p) stack, p >= 1, calling
-    ``eigvals`` only on the rows a bound does not settle.
+    ``eigvals`` only on the rows two coefficient bounds do not settle.
 
     A companion root z of phi solves 1 = sum_j phi_j z^-j.  If |z| >= c,
     then 1 <= sum_j |phi_j| |z|^-j <= sum_j |phi_j| c^-j, so a row whose
     sum_j |phi_j| c^-j is below 1 has every root inside radius c.  (For
-    c < 1 this is not the test sum_j |phi_j| < c.)
+    c < 1 this is not the test sum_j |phi_j| < c.)  The rows this misses
+    get the same bound at c^2 on the polynomial whose roots are the squared
+    roots (``_squared_root_poly``), which squaring pulls apart from the
+    circle: AR(0.75, -0.5) reads 1.25 on phi at c = 1 but 0.6875 on the
+    squared roots.  Neither bound is always the tighter, so both run.
     """
     phis = np.asarray(phis, dtype=float)
-    below = np.abs(phis) @ (c ** -np.arange(1.0, phis.shape[1] + 1)) < 1.0 - _SCREEN_MARGIN
+    p = phis.shape[1]
+    below = np.abs(phis) @ (c ** -np.arange(1.0, p + 1)) < 1.0 - _SCREEN_MARGIN
     rest = np.flatnonzero(~below)
+    if rest.size:
+        d = _squared_root_poly(phis[rest])
+        below[rest] = np.abs(d) @ (c ** (-2.0 * np.arange(1.0, p + 1))) < 1.0 - _SCREEN_MARGIN
+        rest = rest[~below[rest]]
     if rest.size:
         below[rest] = ar_spectral_radii(phis[rest]) < c
     return below

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acvf import ArParams, _pacf_to_ar_with_jac, ar_to_pacf, levinson_solve, pacf_to_ar
-from .companion import ar_spectral_radius, radii_below
+from .companion import ar_spectral_radii, ar_spectral_radius, radii_below
 from .errors import NoConvergence, SingularDesign, TooShort
 from .loss import (
     _check_length,
@@ -25,7 +25,6 @@ from .loss import (
     _q_impl,
     empirical_q,
     lag_matrix,
-    population_q,
 )
 
 __all__ = ["FitOptions", "FitResult", "fit_ols", "fit_match", "fit_ideal"]
@@ -108,14 +107,20 @@ def _gram_ok(G):
 
 
 def _project_stationary(phi):
-    """phi if its spectral radius rho is below _START_RADIUS; otherwise
-    phi_j (_PROJECT_RADIUS / rho)^j, which scales every companion root by
-    _PROJECT_RADIUS / rho and so lands at radius _PROJECT_RADIUS."""
-    phi = np.asarray(phi, dtype=float)
-    rho = ar_spectral_radius(phi)
-    if rho < _START_RADIUS:
-        return phi
-    return phi * (_PROJECT_RADIUS / rho) ** np.arange(1, phi.shape[0] + 1)
+    """Each vector of phi, one (p,) or a stack (B, p), as it is if its
+    spectral radius rho is below _START_RADIUS; otherwise phi_j
+    (_PROJECT_RADIUS / rho)^j, which scales every companion root by
+    _PROJECT_RADIUS / rho and so lands at radius _PROJECT_RADIUS.
+
+    ``radii_below`` screens the vectors first, so ``eigvals`` runs only on
+    those its coefficient bounds do not settle inside _START_RADIUS."""
+    phi = np.array(phi, dtype=float)
+    rows = phi.reshape(-1, phi.shape[-1])
+    out = np.flatnonzero(~radii_below(rows, _START_RADIUS))
+    if out.size:
+        for i, rho in zip(out.tolist(), ar_spectral_radii(rows[out]).tolist()):
+            rows[i] = rows[i] * (_PROJECT_RADIUS / rho) ** np.arange(1, rows.shape[1] + 1)
+    return phi
 
 
 def _phi_to_s(phi):
@@ -200,7 +205,7 @@ def minimize(moments, m, starts, opts, groups=None):
 
     S = np.clip(starts, -_S_MAX, _S_MAX)
     q, g, H = terms(np.arange(R), S)
-    ginf = np.max(np.abs(g), axis=1)
+    ginf = np.maximum.reduce(np.abs(g), axis=1)
     converged = ginf < opts.grad_tol * np.maximum(1.0, q)
     running = ~converged
     lam = np.full(R, 1e-3)
@@ -210,7 +215,7 @@ def minimize(moments, m, starts, opts, groups=None):
         if act.size == 0:
             break
         w, V = np.linalg.eigh(H[act])
-        den = np.abs(w) + lam[act, None] * np.max(np.abs(w), axis=1, keepdims=True)
+        den = np.abs(w) + lam[act, None] * np.maximum.reduce(np.abs(w), axis=1, keepdims=True)
         step = -np.matmul(V, (np.matmul(g[act, None, :], V)[:, 0] / den)[..., None])[..., 0]
         trial = np.clip(S[act] + step, -_S_MAX, _S_MAX)
         qt, gt, Ht = terms(act, trial)
@@ -219,10 +224,11 @@ def minimize(moments, m, starts, opts, groups=None):
         floor = ok & (q[act] - qt <= 4e-16 * np.abs(qt))
         acc = act[ok]
         S[acc], q[acc], g[acc], H[acc] = trial[ok], qt[ok], gt[ok], Ht[ok]
-        ginf[acc] = np.max(np.abs(gt[ok]), axis=1)
+        ginf[acc] = np.maximum.reduce(np.abs(gt[ok]), axis=1)
         converged[acc] = ginf[acc] < opts.grad_tol * np.maximum(1.0, q[acc])
         lam[act] = np.where(ok, np.maximum(lam[act] / 10.0, 1e-12), lam[act] * 100.0)
-        floor |= np.max(np.abs(step), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(S[act]), axis=1))
+        big = np.maximum(1.0, np.maximum.reduce(np.abs(S[act]), axis=1))
+        floor |= np.maximum.reduce(np.abs(step), axis=1) <= 1e-12 * big
         running[act] = ~(converged[act] | floor)
     # Rows within rounding of their group's least q tie; a converged one is
     # preferred, then the least q, then the first row.
@@ -261,12 +267,10 @@ def _ols_starts(Y, X, p):
     Y (G, n) with X = lag_matrix(Y, p), p >= 1: the OLS solution of
     ``fit_ols(y, p)``, or zeros where that raises SingularDesign or
     TooShort, projected inside _START_RADIUS (``_project_stationary``);
-    shape (G, p).  ``radii_below`` finds the rows that need projecting.
+    shape (G, p).
     """
     phi = _stacked_ols(Y, X)[0] if Y.shape[1] >= 2 * p + 1 else np.zeros((Y.shape[0], p))
-    for i in np.flatnonzero(~radii_below(phi, _START_RADIUS)):
-        phi[i] = _project_stationary(phi[i])
-    return phi
+    return _project_stationary(phi)
 
 
 def _fit_match_stack(Y, p, m, opts):
@@ -335,18 +339,26 @@ def fit_ideal(truth, p, m, opts=None):
     """Minimize the population criterion under a known truth.
 
     Returns ``(model, q_star)`` where model.sigma2 is the attained one-step
-    population mean squared error.  The solver starts once, from the
-    Levinson (Yule-Walker) solution; ``opts.extra_starts`` is not used.
+    population mean squared error.  At m = 1 the criterion is the one-step
+    error gamma(0) - 2 phi'gamma_p + phi'Gamma_p phi, whose minimizer is the
+    Levinson (Yule-Walker) solution and whose minimum is the recursion's
+    last variance v[p], so both come from ``levinson_solve`` and no solver
+    runs.  Past m = 1 the solver starts once, from the Levinson solution
+    (``opts.extra_starts`` is not used), and sigma2 is the m = 1 criterion
+    at its result, which the step-up from |r| < 1 keeps stationary.
     """
     _check_orders(p, m)
     opts = opts or FitOptions()
     if p == 0:
         return ArParams(np.zeros(0), float(truth.gamma[0])), float(truth.gamma[0])
-    phi0, _, _ = levinson_solve(truth, p)
+    phi0, _, v = levinson_solve(truth, p)
+    if m == 1:
+        return ArParams(phi0, v[p]), float(v[p])
     s, qstar, ginf, _, converged = (
         x[0] for x in minimize(_population_moments(truth.gamma, p, m), m, _phi_to_s(phi0)[None], opts)
     )
     if not converged and ginf >= 1e-6 * max(truth.gamma[0], qstar):
         raise NoConvergence(f"ideal-world fit did not converge (grad inf-norm {ginf:.3e})")
     phi = pacf_to_ar(np.tanh(s))
-    return ArParams(phi, population_q(truth, ArParams(phi, 1.0), p, 1)), float(qstar)
+    sigma2 = _moments_q(*_population_moments(truth.gamma, p, 1), phi, 1, want_grad=False)[0]
+    return ArParams(phi, sigma2), float(qstar)

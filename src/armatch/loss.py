@@ -145,7 +145,7 @@ def _adjoint_grad(phi, A, W):
     S = np.zeros(phi.shape)
     grad = np.zeros(phi.shape)
     for i in range(W.shape[0], 0, -1):
-        head = np.sum(phi * S, axis=-1)
+        head = np.add.reduce(phi * S, axis=-1)
         S[..., 1:] = S[..., :-1]
         S[..., 0] = head
         S += W[i - 1]
@@ -170,7 +170,7 @@ def _moments_q(s, c, G, phi, m, want_grad):
         c = c.reshape(c.shape[:1] + lead + c.shape[1:])
         G = G.reshape(G.shape[:-2] + lead + G.shape[-2:])
     Ga = np.matmul(G, A[1:, ..., None])[..., 0]
-    q = (np.sum(s, axis=0) + np.sum(A[1:] * (Ga - 2.0 * c), axis=(0, -1))) / m
+    q = (np.add.reduce(s, axis=0) + np.add.reduce(A[1:] * (Ga - 2.0 * c), axis=(0, -1))) / m
     if not want_grad:
         return q, None
     return q, _adjoint_grad(phi, A, (2.0 / m) * (Ga - c))

@@ -18,6 +18,8 @@ Bootstrap replicate b of order p draws from the stream mix(seed, p, b);
 order in one pass, bit-identical to one generator per stream.
 """
 
+import functools
+
 import numpy as np
 
 _M64 = (1 << 64) - 1
@@ -50,6 +52,16 @@ def rng_from(seed, *indices):
     return np.random.Generator(np.random.Philox(key=_key(seed, indices)))
 
 
+@functools.cache
+def _philox():
+    """The one Philox generator ``stream_integers`` resets per stream.
+
+    Built on first use, not at import: ``np.random`` would otherwise be
+    imported with the package, and each construction draws OS entropy that
+    the reset discards."""
+    return np.random.Philox(key=0)
+
+
 def stream_integers(seed, p, bs, n, size):
     """Row i is ``rng_from(seed, p, bs[i]).integers(0, n, size)``, bit for
     bit; shape (len(bs), size), dtype int64.
@@ -69,7 +81,7 @@ def stream_integers(seed, p, bs, n, size):
         return np.stack([rng_from(seed, p, b).integers(0, n, size) for b in bs.tolist()])
     keys = _scramble(np.uint64(mix_seed(seed, p)) ^ bs.astype(np.uint64))
     words = np.empty((bs.shape[0], -(-size // 2)), dtype=np.uint64)
-    bitgen = np.random.Philox(key=0)
+    bitgen = _philox()
     key = np.zeros(2, dtype=np.uint64)
     state = {
         "bit_generator": "Philox",
@@ -83,10 +95,8 @@ def stream_integers(seed, p, bs, n, size):
         key[0] = k
         bitgen.state = state
         words[i] = bitgen.random_raw(words.shape[1])
-    draws = np.empty((bs.shape[0], 2 * words.shape[1]), dtype=np.uint64)
-    np.bitwise_and(words, np.uint64(_M32), out=draws[:, 0::2])
-    np.right_shift(words, np.uint64(32), out=draws[:, 1::2])
-    draws = draws[:, :size]
+    # Little-endian 32-bit halves: low half of each word first.
+    draws = words.astype("<u8", copy=False).view("<u4")[:, :size].astype(np.uint64)
     draws *= np.uint64(n)
     threshold = (_M32 + 1 - n) % n
     rejected = np.flatnonzero(((draws & np.uint64(_M32)) < threshold).any(axis=1)) if threshold else []

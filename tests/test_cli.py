@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from armatch import ArmaSpec, simulate_arma
-from armatch.cli import main, read_series
+from armatch.cli import build_parser, main, read_series
 from armatch.errors import ArMatchError
 
 Y4 = "1\n0\n2\n1\n"
@@ -361,6 +361,32 @@ class TestExperiment:
         code = main(["experiment", "--config", str(tmp_path / "nope.ini"),
                      "--output", str(tmp_path / "o")])
         assert code == 1
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+NUMPY_MODULES = """\
+import json, sys
+import {}
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "numpy")))
+"""
+
+
+def test_import_loads_no_numpy_module_beyond_numpy_itself():
+    # numpy.random, in particular, is imported lazily on numpy 2.x; the CLI
+    # must not load it (or any other numpy submodule) just by importing.
+    src = Path(__file__).resolve().parents[1] / "src"
+    loaded = {}
+    for target in ("numpy", "armatch.cli"):
+        out = subprocess.run(
+            [sys.executable, "-c", NUMPY_MODULES.format(target)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        loaded[target] = set(json.loads(out.stdout))
+    assert loaded["armatch.cli"] <= loaded["numpy"], sorted(loaded["armatch.cli"] - loaded["numpy"])
 
 
 RUNTIME_SCRIPT = """\

@@ -9,7 +9,9 @@ from armatch import (
     ArParams,
     ArmaSpec,
     FitOptions,
+    InsufficientLags,
     SingularDesign,
+    SingularToeplitz,
     TarSpec,
     TooShort,
     ar_acvf,
@@ -18,6 +20,7 @@ from armatch import (
     fit_ideal,
     fit_match,
     fit_ols,
+    levinson_solve,
     pacf_to_ar,
     population_q,
     simulate_arma,
@@ -396,6 +399,31 @@ def test_projection_scales_every_root_to_the_projection_radius():
         done += 1
 
 
+def test_projection_screen_spares_eigvals(monkeypatch):
+    # A start the coefficient bounds settle inside _START_RADIUS is kept
+    # without an eigenvalue call; one they do not settle still gets them.
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or real(a))
+    phi = np.array([0.75, -0.5])  # sum |phi_j| = 1.25; radius sqrt(0.5)
+    assert estimator._project_stationary(phi).tobytes() == phi.tobytes()
+    assert calls == []
+    estimator._project_stationary(np.array([1.5]))
+    assert calls
+
+
+def test_projection_of_a_stack_is_row_by_row():
+    # The stack form, which the OLS starts use, projects each row as the
+    # one-vector call does, bit for bit, and leaves its input unchanged.
+    rng = np.random.default_rng(11)
+    for p in range(1, 9):
+        phi = rng.uniform(-2.0, 2.0, (30, p)) / p
+        before = phi.copy()
+        stacked = estimator._project_stationary(phi)
+        assert phi.tobytes() == before.tobytes()
+        assert stacked.tobytes() == np.array([estimator._project_stationary(row) for row in phi]).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -481,6 +509,48 @@ class TestFitIdeal:
                 _, qstar = fit_ideal(truth, p, m)
                 assert qstar <= prev + 1e-9
                 prev = qstar
+
+    @staticmethod
+    def _sweep_truths():
+        # The truths of the benchmark's ideal_sweep: ARMA(1,1) (phi 0.8,
+        # theta -0.5) and MA(1) (theta 0.5), gamma(0..29) in closed form.
+        lags = np.arange(30)
+        phi, theta = 0.8, -0.5
+        arma = np.empty(30)
+        arma[0] = (1.0 + 2.0 * phi * theta + theta * theta) / (1.0 - phi * phi)
+        arma[1:] = (1.0 + phi * theta) * (phi + theta) / (1.0 - phi * phi) * phi ** (lags[1:] - 1.0)
+        ma = np.zeros(30)
+        ma[:2] = (1.25, 0.5)
+        return [AcvfSeq(arma), AcvfSeq(ma)]
+
+    def test_one_step_is_levinson_without_solver(self, monkeypatch):
+        # At m = 1 the minimizer is the Yule-Walker solution and the minimum
+        # the recursion's last variance: both straight from levinson_solve.
+        def no_solver(*args, **kwargs):
+            raise AssertionError("minimize called at m = 1")
+
+        monkeypatch.setattr(estimator, "minimize", no_solver)
+        for truth in self._sweep_truths():
+            for p in range(1, 11):
+                phi, _, v = levinson_solve(truth, p)
+                model, qstar = fit_ideal(truth, p, 1)
+                assert model.phi.tobytes() == phi.tobytes()
+                assert model.sigma2 == qstar == v[p]
+                assert type(qstar) is float
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_short_or_singular_truth_raises(self, m):
+        with pytest.raises(InsufficientLags, match="need gamma up to lag 3, have 2"):
+            fit_ideal(AcvfSeq([1.0, 0.5, 0.2]), 3, m)
+        # gamma constant: Toeplitz of rank one, singular from order 1 on.
+        with pytest.raises(SingularToeplitz, match="order-1 prediction-error variance"):
+            fit_ideal(AcvfSeq([1.0, 1.0, 1.0, 1.0, 1.0]), 2, m)
+
+    def test_sigma2_is_population_q_bit_for_bit(self):
+        for truth in self._sweep_truths():
+            for p, m in [(1, 2), (3, 5), (6, 20)]:
+                model, _ = fit_ideal(truth, p, m)
+                assert model.sigma2 == population_q(truth, model, p, 1)
 
     @pytest.mark.parametrize("p, m", [(1, 0), (0, 0), (-1, 1)])
     def test_rejects_bad_orders(self, p, m):

@@ -15,7 +15,13 @@ from armatch import (
     predictor_from_acvf,
     predictor_from_model,
 )
-from armatch.companion import ar_spectral_radii, companion_matrix, radii_below, spectral_radius
+from armatch.companion import (
+    _squared_root_poly,
+    ar_spectral_radii,
+    companion_matrix,
+    radii_below,
+    spectral_radius,
+)
 
 
 class TestCompanion:
@@ -40,6 +46,27 @@ class TestCompanion:
         assert C[1, 0] == 1.0 and C[2, 1] == 1.0 and C[2, 0] == 0.0
 
 
+def _scale_roots(phi, t):
+    """Rows phi_j t^j: every companion root of the row scaled by t."""
+    return phi * t[:, None] ** np.arange(1.0, phi.shape[1] + 1)
+
+
+def _squared_roots_poly_oracle(phi):
+    """Coefficients after the leading 1 of the monic polynomial with the
+    squared companion roots of each row, from numpy's roots."""
+    return np.array([np.poly(np.roots(np.r_[1.0, -row]) ** 2).real[1:] for row in phi])
+
+
+def test_squared_root_poly_has_the_squared_roots():
+    rng = np.random.default_rng(3)
+    for p in range(1, 9):
+        phi = rng.standard_normal((20, p)) / np.sqrt(p)
+        d = _squared_root_poly(phi)
+        np.testing.assert_allclose(d, _squared_roots_poly_oracle(phi), rtol=1e-9, atol=1e-9)
+    # AR(0.75, -0.5): z^2 - 0.75 z + 0.5 has squared roots w^2 + 0.4375 w + 0.25.
+    assert _squared_root_poly(np.array([[0.75, -0.5]])).tolist() == [[0.4375, 0.25]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), c=st.sampled_from([0.99, 1.0]))
 def test_radii_below_equals_eigvals(seed, p, c):
@@ -47,17 +74,31 @@ def test_radii_below_equals_eigvals(seed, p, c):
     # circle, rows put just inside and just outside the bound that spares
     # eigvals (sum_j |phi_j| c^-j = 1 - 1e-6), and rows with
     # sum_j |phi_j| just under 1 - 1e-6, which the bound must not take as
-    # settled when c < 1.
+    # settled when c < 1.  Then stationary rows, their roots scaled to put
+    # each just inside or outside radius c, and just inside or outside the
+    # squared-root bound (sum_l |d_l| c^-2l = 1 - 1e-6), which the scaling
+    # moves monotonically: d_l scales by t^2l.
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((60, p)) * rng.uniform(0.01, 2.0, (60, 1)) / np.sqrt(p)
     phi[:5, 1:] = 0.0  # one real root, |phi_1|
     weighted = np.abs(phi) @ (c ** -np.arange(1.0, p + 1))
     total = np.abs(phi).sum(axis=1)
     nudge = 1.0 + rng.choice([-1e-9, -1e-15, 0.0, 1e-15, 1e-9], (60, 1))
+    stationary = np.array([pacf_to_ar(r) for r in rng.uniform(-0.95, 0.95, (40, p))])
+    rho = ar_spectral_radii(stationary)
+    d = np.abs(_squared_roots_poly_oracle(stationary))
+    lo, hi = np.zeros(40), 2.0 * c / rho
+    for _ in range(80):  # bisection on t for the squared bound at 1 - 1e-6
+        mid = 0.5 * (lo + hi)
+        inside = (d * (mid[:, None] / c) ** np.arange(2.0, 2 * p + 1, 2)).sum(axis=1) < 1.0 - 1e-6
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     rows = np.vstack([
         phi,
         phi / weighted[:, None] * (1.0 - 1e-6) * nudge,
         phi / total[:, None] * (1.0 - 1e-6) * nudge,
+        stationary,
+        _scale_roots(stationary, c / rho * (1.0 + rng.choice([-1e-3, -1e-7, 1e-7, 1e-3], 40))),
+        _scale_roots(stationary, lo * (1.0 + rng.choice([-1e-6, -1e-12, 1e-12, 1e-6], 40))),
     ])
     np.testing.assert_array_equal(radii_below(rows, c), ar_spectral_radii(rows) < c)
 

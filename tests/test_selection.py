@@ -192,6 +192,19 @@ class TestBatchedBootstrap:
     # and 2^32 - 1 are at the top of the mapped range, 2^32 and 2^40 outside it.
     N_VALUES = (1, 2, 3, 500, 537, 2**20 + 3, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5, 2**32 - 1, 2**32, 2**40)
 
+    def test_stream_integers_reuses_one_generator(self, monkeypatch):
+        # After the first call no Philox is built: one generator is reset to
+        # each stream's key.  n = 64 rejects no 32-bit half, so numpy's own
+        # generators are not called on either.
+        want = np.stack([rng_from(9, 3, b).integers(0, 64, 50) for b in range(5)])
+        stream_integers(9, 3, [0], 64, 50)
+        built = []
+        real = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k))
+        got = stream_integers(9, 3, range(5), 64, 50)
+        assert built == []
+        assert got.tobytes() == want.tobytes()
+
     def test_stream_integers_equal_fresh_generators(self):
         # Each row must equal what rng_from(seed, p, b) draws, both by
         # integers and by the rng.choice of _simulate_fitted, for keys on
@@ -317,8 +330,9 @@ class TestMultistepBatch:
         real = estimator._project_stationary
         projected = []
 
-        def recording(phi):
-            projected.append(estimator.ar_spectral_radius(phi) >= estimator._START_RADIUS)
+        def recording(phi):  # one start or the stack of a batch's OLS starts
+            radii = estimator.ar_spectral_radii(np.atleast_2d(phi))
+            projected.extend((radii >= estimator._START_RADIUS).tolist())
             return real(phi)
 
         monkeypatch.setattr(estimator, "_project_stationary", recording)
