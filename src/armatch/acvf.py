@@ -78,7 +78,7 @@ class ArParams:
 
     @property
     def is_stationary(self):
-        return ar_spectral_radius(self.phi) < 1.0
+        return bool(_step_down(self.phi[None])[1][0])
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class ArmaSpec:
 
     @property
     def is_stationary(self):
-        return ar_spectral_radius(self.ar) < 1.0
+        return bool(_step_down(self.ar[None])[1][0])
 
 
 def _durbin(g, p):
@@ -278,21 +278,40 @@ def _pacf_to_ar_with_jac(r):
     return M[..., 0, :], M[..., 1:, :].swapaxes(-1, -2)
 
 
+def _step_down(phis, c=1.0):
+    """The package's one stationarity predicate: the Levinson step-down
+    recursion on each row of a (B, p) stack of AR coefficient vectors,
+    taken as phi_j c^-j, in p stacked steps.  Returns (r, ok).
+
+    r (B, p) holds the reflection coefficients (partial autocorrelations);
+    a row's r past its first |r_j| >= 1 is meaningless.  ok (B,) is True
+    where every |r_j| < 1, which holds exactly when every companion root
+    of the row lies inside radius c (Barndorff-Nielsen & Schou 1973); a
+    row with a non-finite value is not ok.  Each row's arithmetic is the
+    one-vector recursion's, so r does not depend on the stack.
+    """
+    a = np.array(phis, dtype=float).T  # (p, B): step j acts on rows, as in the one-vector loop
+    p = a.shape[0]
+    if c != 1.0:
+        a *= c ** -np.arange(1.0, p + 1)[:, None]
+    r = np.empty_like(a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(p, 1, -1):
+            rj = r[j - 1] = a[j - 1]
+            a = (a[: j - 1] + rj * a[j - 2::-1]) / (1.0 - rj * rj)
+        r[:1] = a[:1]
+        return r.T, np.logical_and.reduce(np.abs(r) < 1.0, axis=0)
+
+
 def ar_to_pacf(phi):
-    """Inverse of :func:`pacf_to_ar` (Levinson step-down recursion).
+    """Inverse of :func:`pacf_to_ar`: one vector's row of :func:`_step_down`.
 
     Raises NonStationary if any recovered reflection coefficient has
-    modulus >= 1, i.e. if ``phi`` is outside the stationary region.
+    modulus >= 1 or is not finite, i.e. if ``phi`` is outside the
+    stationary region.
     """
     a = np.atleast_1d(np.asarray(phi, dtype=float)) if np.size(phi) else np.zeros(0)
-    p = a.shape[0]
-    r = np.empty(p)
-    a = a.copy()
-    for j in range(p, 0, -1):
-        rj = a[j - 1]
-        if abs(rj) >= 1.0 or not np.isfinite(rj):
-            raise NonStationary("AR coefficients are outside the stationary region")
-        r[j - 1] = rj
-        if j > 1:
-            a = (a[: j - 1] + rj * a[j - 2::-1]) / (1.0 - rj * rj)
-    return r
+    r, ok = _step_down(a[None])
+    if not ok[0]:
+        raise NonStationary("AR coefficients are outside the stationary region")
+    return r[0]

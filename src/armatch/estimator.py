@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acvf import ArParams, _pacf_to_ar_with_jac, ar_to_pacf, levinson_solve, pacf_to_ar
-from .companion import ar_spectral_radii, ar_spectral_radius, radii_below
+from .acvf import ArParams, _pacf_to_ar_with_jac, _step_down, ar_to_pacf, levinson_solve, pacf_to_ar
+from .companion import ar_spectral_radii
 from .errors import NoConvergence, SingularDesign, TooShort
 from .loss import (
     _check_length,
@@ -107,19 +107,18 @@ def _gram_ok(G):
 
 
 def _project_stationary(phi):
-    """Each vector of phi, one (p,) or a stack (B, p), as it is if its
-    spectral radius rho is below _START_RADIUS; otherwise phi_j
-    (_PROJECT_RADIUS / rho)^j, which scales every companion root by
-    _PROJECT_RADIUS / rho and so lands at radius _PROJECT_RADIUS.
-
-    ``radii_below`` screens the vectors first, so ``eigvals`` runs only on
-    those its coefficient bounds do not settle inside _START_RADIUS."""
+    """Each vector of phi, one (p,) or a stack (B, p), as it is if the
+    step-down at radius _START_RADIUS (``_step_down``) puts every companion
+    root inside it; otherwise phi_j (_PROJECT_RADIUS / rho)^j with rho the
+    spectral radius, which scales every root by _PROJECT_RADIUS / rho and
+    so lands at radius _PROJECT_RADIUS.  ``eigvals`` runs once per scaled
+    vector, for its rho, and on no other."""
     phi = np.array(phi, dtype=float)
     rows = phi.reshape(-1, phi.shape[-1])
-    out = np.flatnonzero(~radii_below(rows, _START_RADIUS))
-    if out.size:
-        for i, rho in zip(out.tolist(), ar_spectral_radii(rows[out]).tolist()):
-            rows[i] = rows[i] * (_PROJECT_RADIUS / rho) ** np.arange(1, rows.shape[1] + 1)
+    out = ~_step_down(rows, _START_RADIUS)[1]
+    if out.any():
+        rho = ar_spectral_radii(rows[out])[:, None]
+        rows[out] *= (_PROJECT_RADIUS / rho) ** np.arange(1, rows.shape[1] + 1)
     return phi
 
 
@@ -132,7 +131,7 @@ def _match_starts(phi, opts):
     """The start rows of a data fit from start coefficients phi, one vector
     (p,) or a stack (B, p), each already inside _START_RADIUS: its s
     and ``opts.extra_starts`` jittered copies, shape (..., 1 + extra, p)."""
-    r = np.array([ar_to_pacf(row) for row in phi.reshape(-1, phi.shape[-1])]).reshape(phi.shape)
+    r = _step_down(phi.reshape(-1, phi.shape[-1]))[0].reshape(phi.shape)
     s0 = np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
     return np.stack([s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]], axis=-2)
 
@@ -285,7 +284,9 @@ def _fit_match_stack(Y, p, m, opts):
     same FitResult, bit for bit: every step of the solver acts on each row
     alone, so a series' result does not depend on the others in its stack.
     The tail runs for the whole stack too: one step-up call, then sigma2
-    (the m = 1 criterion) and q from the stacked residual kernel.
+    (the m = 1 criterion) and q from the stacked residual kernel, and one
+    step-down that marks a fit not converged where its model is not
+    stationary.
     """
     G = Y.shape[0]
     X = lag_matrix(Y, p)
@@ -296,6 +297,7 @@ def _fit_match_stack(Y, p, m, opts):
     moments = _empirical_moments(Y, X, p, m) if G > 1 else _empirical_moments(Y[0], X[0], p, m)
     S, _, grad_inf, iterations, converged = minimize(moments, m, starts.reshape(-1, p), opts, groups)
     phi = _pacf_to_ar_with_jac(np.tanh(S))[0]
+    converged &= _step_down(phi)[1]
     sigma2 = _q_impl(Y, X, phi, 1, want_grad=False)[0].tolist()
     q = _q_impl(Y, X, phi, m, want_grad=False)[0].tolist()
     restarts = starts.shape[1] - 1
@@ -312,8 +314,10 @@ def fit_match(series, p, m, opts=None):
     _PROJECT_RADIUS when its radius is _START_RADIUS or more) plus
     ``opts.extra_starts`` deterministic jittered copies.  Never raises on
     a hard instance: if no start converges the best point found is
-    returned with ``converged=False``.  Past the p = 0 and m = 1 closed
-    forms this is the one-series call of ``_fit_match_stack``.
+    returned with ``converged=False``.  So is a model that is not
+    stationary (``ArParams.is_stationary``): the step-up from |r| within
+    rounding of 1 can land just outside the region.  Past the p = 0 and
+    m = 1 closed forms this is the one-series call of ``_fit_match_stack``.
     """
     _check_orders(p, m)
     opts = opts or FitOptions()
@@ -326,7 +330,7 @@ def fit_match(series, p, m, opts=None):
     if m == 1 and n >= 2 * p + 1:
         X = lag_matrix(y, p)
         phi, ok = _stacked_ols(y[None], X[None])
-        if ok[0] and ar_spectral_radius(phi[0]) < 1.0:
+        if ok[0] and _step_down(phi)[1][0]:
             # At m = 1 the criterion is exactly the conditional least-squares
             # quadratic, so a stationary OLS solution is the exact minimizer
             # over the (open) stationary region; skip the iterative solver.

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acvf import AcvfSeq, ar_acvf
-from .companion import radii_below
+from .acvf import AcvfSeq, _step_down, ar_acvf
 from .errors import BootstrapFailed, DegenerateFit, TooShort
 from .estimator import FitOptions, _fit_match_stack, _stacked_ols, fit_match, fit_ols
 from .loss import _finite_series, _moments_q, _population_moments, _q_impl, ar_filter, lag_matrix, population_q
@@ -148,7 +147,9 @@ def _batched_diffs(tasks):
     from the moments of gamma_hat, for all replicates at once.  A replicate
     that fails a check of the per-replicate path is redone by
     ``_bootstrap_replicate``: a near-singular Gram matrix (m = 1), a fitted
-    model that is not stationary, or a difference that is not finite.
+    model that is not stationary (one stacked ``_step_down``, the
+    predicate ``population_q`` applies to each model), or a difference
+    that is not finite.
     """
     model, pool, gamma_hat, ell, p, m, seed, _, opts = tasks[0]
     burn = _BURNIN_BASE + p
@@ -168,7 +169,7 @@ def _batched_diffs(tasks):
         q = np.array([fit.q_value for fit in fits])
     qstar = gamma_hat.gamma[0]
     if p:
-        ok &= radii_below(phi, 1.0)
+        ok &= _step_down(phi, 1.0)[1]
         qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         diffs = np.log(qstar) - (np.log(q) - np.log(tail_ms))

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acvf import ArmaSpec, arma_acvf
-from .companion import ar_spectral_radius
+from .acvf import ArmaSpec, _step_down, arma_acvf
 from .errors import ArMatchError, NonStationary
 from .estimator import FitOptions, _fit_match_stack, fit_match, fit_ols
 from .loss import _check_length, _finite_series, ar_filter, empirical_q, population_q
@@ -71,7 +70,9 @@ class TarSpec:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.phi_low, dtype=float))
         hi = np.atleast_1d(np.asarray(self.phi_high, dtype=float))
-        if ar_spectral_radius(lo) >= 1.0 or ar_spectral_radius(hi) >= 1.0:
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("TAR coefficients must be finite")
+        if not (_step_down(lo[None])[1][0] and _step_down(hi[None])[1][0]):
             raise NonStationary("both TAR regimes must be stationary")
         _check_count("delay", self.delay, 1)
         if float(self.sigma2) <= 0.0:

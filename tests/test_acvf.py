@@ -14,7 +14,7 @@ from armatch import (
     levinson_solve,
     pacf_to_ar,
 )
-from armatch.acvf import _durbin
+from armatch.acvf import _durbin, _step_down
 from armatch.companion import ar_spectral_radius
 
 
@@ -281,3 +281,38 @@ def test_step_up_equals_the_plain_loop_bit_for_bit():
             new[j - 1] = r[j - 1]
             a = new
         assert pacf_to_ar(r).tobytes() == a.tobytes()
+
+
+def _step_down_loop(phi):
+    """The one-vector step-down loop: the partial autocorrelations of phi,
+    or None at the first r_j with |r_j| >= 1 or not finite."""
+    a = phi.copy()
+    r = np.empty(a.shape[0])
+    for j in range(a.shape[0], 0, -1):
+        rj = a[j - 1]
+        if not abs(rj) < 1.0:
+            return None
+        r[j - 1] = rj
+        if j > 1:
+            a = (a[: j - 1] + rj * a[j - 2::-1]) / (1.0 - rj * rj)
+    return r
+
+
+def test_step_down_equals_the_plain_loop_bit_for_bit():
+    # Each row of the stacked step-down gives the bits of the one-vector
+    # loop, and so does ar_to_pacf; a row the loop rejects is not ok, and
+    # ar_to_pacf raises on it.
+    rng = np.random.default_rng(86)
+    for p in range(1, 11):
+        stationary = np.array([pacf_to_ar(r) for r in rng.uniform(-0.999, 0.999, (50, p))])
+        rows = np.vstack([stationary, rng.uniform(-2.0, 2.0, (50, p)), np.full(p, np.nan), np.full(p, np.inf)])
+        r, ok = _step_down(rows)
+        assert ok[:50].all() and not ok[-2:].any()
+        for row, got, good in zip(rows, r, ok.tolist()):
+            want = _step_down_loop(row)
+            assert good == (want is not None)
+            if good:
+                assert got.tobytes() == want.tobytes() == ar_to_pacf(row).tobytes()
+            else:
+                with pytest.raises(NonStationary):
+                    ar_to_pacf(row)

@@ -235,6 +235,15 @@ class TestSimulate:
                      "--n", "5", "--seed", "1", "--output", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("phi_low", ["nan", "nan,0.1"])
+    def test_non_finite_tar_coefficients_exit_2(self, tmp_path, capsys, phi_low):
+        code = main(["simulate", "--model", "tar", "--phi-low", phi_low, "--phi-high", "-0.3",
+                     "--n", "5", "--seed", "1", "--output", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: TAR coefficients must be finite" in err
+        assert "Traceback" not in err
+
     def test_bad_coefficient_list_exit_2(self, tmp_path):
         code = main(["simulate", "--model", "arma", "--ar", "0.5;0.2",
                      "--n", "5", "--seed", "1", "--output", str(tmp_path / "x")])

@@ -15,6 +15,7 @@ from armatch import (
     TarSpec,
     TooShort,
     ar_acvf,
+    ar_to_pacf,
     arma_acvf,
     empirical_q,
     fit_ideal,
@@ -400,16 +401,16 @@ def test_projection_scales_every_root_to_the_projection_radius():
 
 
 def test_projection_screen_spares_eigvals(monkeypatch):
-    # A start the coefficient bounds settle inside _START_RADIUS is kept
-    # without an eigenvalue call; one they do not settle still gets them.
+    # A start the step-down puts inside _START_RADIUS is kept without an
+    # eigenvalue call; the starts outside it get one stacked call, for rho.
     calls = []
     real = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or real(a))
     phi = np.array([0.75, -0.5])  # sum |phi_j| = 1.25; radius sqrt(0.5)
     assert estimator._project_stationary(phi).tobytes() == phi.tobytes()
     assert calls == []
-    estimator._project_stationary(np.array([1.5]))
-    assert calls
+    estimator._project_stationary(np.array([[1.5, 0.0], [0.75, -0.5], [0.0, 1.2]]))
+    assert calls == [1]
 
 
 def test_projection_of_a_stack_is_row_by_row():
@@ -422,6 +423,40 @@ def test_projection_of_a_stack_is_row_by_row():
         stacked = estimator._project_stationary(phi)
         assert phi.tobytes() == before.tobytes()
         assert stacked.tobytes() == np.array([estimator._project_stationary(row) for row in phi]).tobytes()
+
+
+def test_match_starts_of_a_stack_equal_the_per_row_form():
+    # One stacked step-down gives each row the start rows of its own
+    # ar_to_pacf call, bit for bit.
+    rng = np.random.default_rng(12)
+    opts = FitOptions()
+    for p in range(1, 11):
+        phi = estimator._project_stationary(rng.uniform(-2.0, 2.0, (30, p)) / p)
+        per_row = []
+        for row in phi:
+            s0 = np.arctanh(np.clip(ar_to_pacf(row), -estimator._R_MAX, estimator._R_MAX))
+            per_row.append(np.stack([s0] + [s0 + j for j in _JITTERS]))
+            assert estimator._match_starts(row, opts).tobytes() == per_row[-1].tobytes()
+        assert estimator._match_starts(phi, opts).tobytes() == np.array(per_row).tobytes()
+
+
+def test_fit_outside_the_stationary_region_is_not_converged():
+    # On deterministic series the criterion's minimum sits on the unit-root
+    # boundary, where the step-up from |r| within rounding of 1 can land
+    # just outside the stationary region; such a fit reports
+    # converged=False.  The 240 fits at m > 1 include some that land
+    # outside; at m = 1 the OLS solution, often outside, must not be
+    # returned as it is.
+    outside = 0
+    for n in (50, 80):
+        t = np.arange(n, dtype=float)
+        for y in (t, np.ones(n), (-1.0) ** t, t * t, 1.05 ** t):
+            for p in (1, 2, 3, 5, 8, 10):
+                for m in (1, 2, 5, 10, 20):
+                    fit = fit_match(y, p, m)
+                    outside += not fit.model.is_stationary
+                    assert fit.model.is_stationary or not fit.converged, (n, p, m)
+    assert outside > 0
 
 
 @settings(max_examples=40, deadline=None)

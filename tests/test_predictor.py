@@ -15,13 +15,8 @@ from armatch import (
     predictor_from_acvf,
     predictor_from_model,
 )
-from armatch.companion import (
-    _squared_root_poly,
-    ar_spectral_radii,
-    companion_matrix,
-    radii_below,
-    spectral_radius,
-)
+from armatch.acvf import _step_down
+from armatch.companion import ar_spectral_radii, companion_matrix, spectral_radius
 
 
 class TestCompanion:
@@ -57,27 +52,18 @@ def _squared_roots_poly_oracle(phi):
     return np.array([np.poly(np.roots(np.r_[1.0, -row]) ** 2).real[1:] for row in phi])
 
 
-def test_squared_root_poly_has_the_squared_roots():
-    rng = np.random.default_rng(3)
-    for p in range(1, 9):
-        phi = rng.standard_normal((20, p)) / np.sqrt(p)
-        d = _squared_root_poly(phi)
-        np.testing.assert_allclose(d, _squared_roots_poly_oracle(phi), rtol=1e-9, atol=1e-9)
-    # AR(0.75, -0.5): z^2 - 0.75 z + 0.5 has squared roots w^2 + 0.4375 w + 0.25.
-    assert _squared_root_poly(np.array([[0.75, -0.5]])).tolist() == [[0.4375, 0.25]]
-
-
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), c=st.sampled_from([0.99, 1.0]))
-def test_radii_below_equals_eigvals(seed, p, c):
-    # Random rows at scales from deep inside to well outside the unit
-    # circle, rows put just inside and just outside the bound that spares
-    # eigvals (sum_j |phi_j| c^-j = 1 - 1e-6), and rows with
-    # sum_j |phi_j| just under 1 - 1e-6, which the bound must not take as
-    # settled when c < 1.  Then stationary rows, their roots scaled to put
-    # each just inside or outside radius c, and just inside or outside the
-    # squared-root bound (sum_l |d_l| c^-2l = 1 - 1e-6), which the scaling
-    # moves monotonically: d_l scales by t^2l.
+def test_step_down_equals_eigvals(seed, p, c):
+    # The step-down at radius c puts a row inside exactly when eigvals
+    # does.  Rows: random rows at scales from deep inside to well outside
+    # the unit circle; rows just inside and just outside the coefficient
+    # bound sum_j |phi_j| c^-j = 1 - 1e-6, and rows with sum_j |phi_j| just
+    # under 1 - 1e-6, which differ from them when c < 1.  Then stationary
+    # rows, their roots scaled to put each just inside or outside radius c,
+    # and just inside or outside the same bound on the polynomial with the
+    # squared roots (sum_l |d_l| c^-2l = 1 - 1e-6), which the scaling moves
+    # monotonically: d_l scales by t^2l.
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((60, p)) * rng.uniform(0.01, 2.0, (60, 1)) / np.sqrt(p)
     phi[:5, 1:] = 0.0  # one real root, |phi_1|
@@ -100,7 +86,7 @@ def test_radii_below_equals_eigvals(seed, p, c):
         _scale_roots(stationary, c / rho * (1.0 + rng.choice([-1e-3, -1e-7, 1e-7, 1e-3], 40))),
         _scale_roots(stationary, lo * (1.0 + rng.choice([-1e-6, -1e-12, 1e-12, 1e-6], 40))),
     ])
-    np.testing.assert_array_equal(radii_below(rows, c), ar_spectral_radii(rows) < c)
+    np.testing.assert_array_equal(_step_down(rows, c)[1], ar_spectral_radii(rows) < c)
 
 
 class TestPredictorFromModel:

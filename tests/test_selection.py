@@ -149,20 +149,20 @@ class TestBatchedBootstrap:
     def test_failed_stationarity_check_falls_back(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 71)
         tasks = _order_tasks(y, 2, 1, 10, seed=3)
-        real = selection.radii_below
+        real = selection._step_down
         oracle = selection._bootstrap_replicate
         redone = []
 
         def one_fails(phis, c):
-            below = real(phis, c)
-            below[4] = False
-            return below
+            r, ok = real(phis, c)
+            ok[4] = False
+            return r, ok
 
         def replicate(task):
             redone.append(task[7])
             return oracle(task)
 
-        monkeypatch.setattr(selection, "radii_below", one_fails)
+        monkeypatch.setattr(selection, "_step_down", one_fails)
         monkeypatch.setattr(selection, "_bootstrap_replicate", replicate)
         batched = selection._batched_diffs(tasks)
         assert redone == [5]
@@ -345,16 +345,16 @@ class TestMultistepBatch:
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 75)
         tasks = _order_tasks(y, 3, 4, 10, seed=3)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        real = selection.radii_below
+        real = selection._step_down
         calls = []
 
         def one_fails(phis, c):
-            below = real(phis, c)
-            below[4] = False
+            r, ok = real(phis, c)
+            ok[4] = False
             calls.append(c)
-            return below
+            return r, ok
 
-        monkeypatch.setattr(selection, "radii_below", one_fails)
+        monkeypatch.setattr(selection, "_step_down", one_fails)
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
         assert calls == [1.0] and redone == [5]

@@ -166,6 +166,13 @@ class TestSimulateTar:
         with pytest.raises(NonStationary):
             TarSpec([1.2], [0.5], 0.0, 1, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [([np.nan], [0.5]), ([np.nan, 0.1], [0.5]), ([0.5], [0.1, np.inf])])
+    def test_non_finite_coefficients_rejected(self, lo, hi):
+        # Finiteness is checked first: a radius test alone reads a NaN
+        # regime as stationary, since nan >= 1 is False.
+        with pytest.raises(ValueError, match="TAR coefficients must be finite"):
+            TarSpec(lo, hi, 0.0, 1, 1.0)
+
     @pytest.mark.parametrize(
         "spec",
         [
