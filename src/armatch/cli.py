@@ -141,6 +141,19 @@ def cmd_select(args):
     y, mean = _center(y, args.center)
     sel = select_order(y, args.max_order, args.steps, args.bootstrap, args.seed)
     aic_p, aic_vals = aic_baseline(y, args.max_order)
+    orders = [
+        {
+            "p": row.order,
+            "log_loss": row.log_loss,
+            "bias_estimate": row.bias_estimate,
+            "criterion": row.criterion,
+            "aic": float(aic_vals[row.order]),
+            "converged": row.converged,
+            "replicates_used": row.replicates_used,
+            "bias_se": row.bias_se,
+        }
+        for row in sel.rows
+    ]
     if args.format == "json":
         out = {
             "chosen_p": sel.chosen_p,
@@ -150,41 +163,13 @@ def cmd_select(args):
             "seed": sel.seed,
             "centered_mean": mean,
             "tie_break": sel.tie_break,
-            "orders": [
-                {
-                    "p": row.order,
-                    "log_loss": row.log_loss,
-                    "bias_estimate": row.bias_estimate,
-                    "criterion": row.criterion,
-                    "aic": float(aic_vals[row.order]),
-                    "converged": row.converged,
-                    "replicates_used": row.replicates_used,
-                    "bias_se": row.bias_se,
-                }
-                for row in sel.rows
-            ],
+            "orders": orders,
         }
         _write_text(args.output, _json_text(out))
     else:
-        header = [
-            "p", "log_loss", "bias_estimate", "criterion", "aic",
-            "converged", "replicates_used", "bias_se", "chosen",
-        ]
-        rows = [
-            [
-                row.order,
-                row.log_loss,
-                row.bias_estimate,
-                row.criterion,
-                float(aic_vals[row.order]),
-                row.converged,
-                row.replicates_used,
-                row.bias_se,
-                row.order == sel.chosen_p,
-            ]
-            for row in sel.rows
-        ]
-        _write_text(args.output, _csv_text(header, rows))
+        # One CSV row per order: its JSON fields in order, then "chosen".
+        rows = [[*row.values(), row["p"] == sel.chosen_p] for row in orders]
+        _write_text(args.output, _csv_text([*orders[0], "chosen"], rows))
     return 0
 
 

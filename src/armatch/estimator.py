@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acvf import ArParams, _pacf_to_ar_with_jac, _step_down, ar_to_pacf, levinson_solve, pacf_to_ar
+from .acvf import (
+    SINGULARITY_FLOOR, ArParams, _durbin, _pacf_to_ar_with_jac, _step_down, levinson_solve, pacf_to_ar
+)
 from .companion import ar_spectral_radii
 from .errors import NoConvergence, SingularDesign, TooShort
 from .loss import (
@@ -43,10 +45,6 @@ _PROJECT_RADIUS = 0.98
 # Forward-difference step in s of the Newton Hessian.
 _H_STEP = 1e-6
 
-# Deterministic jitter patterns for the extra optimizer starts (no RNG so
-# repeated fits are bit-identical).
-_JITTERS = (0.3, -0.45)
-
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -54,7 +52,6 @@ class FitOptions:
 
     max_iter: int = 500
     grad_tol: float = 1e-8
-    extra_starts: int = 2  # jittered starts of fit_match; fit_ideal has one start
 
 
 @dataclass(frozen=True)
@@ -123,17 +120,12 @@ def _project_stationary(phi):
 
 
 def _phi_to_s(phi):
-    r = ar_to_pacf(_project_stationary(phi))
-    return np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
-
-
-def _match_starts(phi, opts):
-    """The start rows of a data fit from start coefficients phi, one vector
-    (p,) or a stack (B, p), each already inside _START_RADIUS: its s
-    and ``opts.extra_starts`` jittered copies, shape (..., 1 + extra, p)."""
+    """The solver coordinates s = arctanh(r) of a start phi, one vector (p,)
+    or a stack (B, p): each vector projected (``_project_stationary``),
+    then r from one stacked step-down, clamped to |r| <= _R_MAX."""
+    phi = _project_stationary(phi)
     r = _step_down(phi.reshape(-1, phi.shape[-1]))[0].reshape(phi.shape)
-    s0 = np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
-    return np.stack([s0] + [s0 + j for j in _JITTERS[: opts.extra_starts]], axis=-2)
+    return np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
 
 
 def _check_orders(p, m):
@@ -261,58 +253,75 @@ def _stacked_ols(Y, X):
     return phi, ok
 
 
-def _ols_starts(Y, X, p):
-    """The start coefficients of ``fit_match`` for every row y of a stack
-    Y (G, n) with X = lag_matrix(Y, p), p >= 1: the OLS solution of
-    ``fit_ols(y, p)``, or zeros where that raises SingularDesign or
-    TooShort, projected inside _START_RADIUS (``_project_stationary``);
-    shape (G, p).
-    """
-    phi = _stacked_ols(Y, X)[0] if Y.shape[1] >= 2 * p + 1 else np.zeros((Y.shape[0], p))
-    return _project_stationary(phi)
+def _ideal_starts(Y, p, m, opts):
+    """(rows, S): for each series y of a stack Y (G, n), n >= p + m, the s
+    of ``fit_ideal`` under its uncentered biased sample autocovariances
+    gamma_k = (1/n) sum_t y_t y_{t+k}, k < p + m (at m = 1 the projected
+    Levinson solution), and the indices of the series that get one: none
+    where gamma is singular (gamma_0 = 0, or the last Durbin variance at or
+    below SINGULARITY_FLOOR gamma_0, where ``levinson_solve`` raises).
+    Past m = 1 every row comes from one grouped ``minimize`` call."""
+    n = Y.shape[1]
+    gamma = np.stack([(Y[:, None, : n - k] @ Y[:, k:, None])[:, 0, 0] for k in range(p + m)], axis=1) / n
+    levinson = [_durbin(g, p) if g[0] > 0.0 else None for g in gamma]
+    # The Durbin variances do not increase, and stop after the first one <= 0.
+    floor = SINGULARITY_FLOOR * gamma[:, 0]
+    rows = np.array([i for i, d in enumerate(levinson) if d and d[2][-1] > floor[i]], dtype=int)
+    if not rows.size:
+        return rows, np.empty((0, p))
+    S = _phi_to_s(np.array([levinson[i][0] for i in rows]))
+    if m > 1:  # one series' moments go in unstacked, as in _fit_match_stack
+        moments = _population_moments(gamma[rows] if rows.size > 1 else gamma[rows[0]], p, m)
+        S = minimize(moments, m, S, opts, np.arange(rows.size))[0]
+    return rows, S
 
 
 def _fit_match_stack(Y, p, m, opts):
     """``fit_match(y, p, m, opts)`` on its iterative path, for every row y
-    of a stack Y (G, n) of equal-length finite series, p >= 1, in one
-    ``minimize`` call: one group per series, on the stacked empirical
-    moments.
+    of a stack Y (G, n) of equal-length finite series, n >= p + m, p >= 1,
+    in one ``minimize`` call: one group per series, on the stacked
+    empirical moments.
 
-    Each series gets the start rows ``fit_match`` gives it (its OLS
-    solution, or zeros where OLS raises SingularDesign or TooShort,
-    projected inside _START_RADIUS, plus the jittered copies), and back the
-    same FitResult, bit for bit: every step of the solver acts on each row
-    alone, so a series' result does not depend on the others in its stack.
-    The tail runs for the whole stack too: one step-up call, then sigma2
-    (the m = 1 criterion) and q from the stacked residual kernel, and one
-    step-down that marks a fit not converged where its model is not
-    stationary.
+    Each series gets the start rows ``fit_match`` gives it (its projected
+    OLS solution, or zeros where OLS raises SingularDesign or TooShort,
+    then its ``_ideal_starts`` row if it has one, which ``restarts`` counts),
+    and back the same FitResult, bit for bit: every step of the solver acts
+    on each row alone, so a series' result does not depend on the others
+    in its stack.  The tail runs for the whole stack too: one step-up call,
+    then sigma2 (the m = 1 criterion) and q from the stacked residual
+    kernel, and one step-down that marks a fit not converged where its
+    model is not stationary.
     """
-    G = Y.shape[0]
+    G, n = Y.shape
     X = lag_matrix(Y, p)
-    starts = _match_starts(_ols_starts(Y, X, p), opts)
-    groups = np.repeat(np.arange(G), starts.shape[1])
+    ols = _stacked_ols(Y, X)[0] if n >= 2 * p + 1 else np.zeros((G, p))
+    rows, ideal = _ideal_starts(Y, p, m, opts)
     # A lone series' moments go in unstacked: minimize's shared-moment form
     # skips the per-row indexing and solves faster.
     moments = _empirical_moments(Y, X, p, m) if G > 1 else _empirical_moments(Y[0], X[0], p, m)
-    S, _, grad_inf, iterations, converged = minimize(moments, m, starts.reshape(-1, p), opts, groups)
+    S, _, grad_inf, iterations, converged = minimize(
+        moments, m, np.concatenate([_phi_to_s(ols), ideal]), opts, np.concatenate([np.arange(G), rows])
+    )
     phi = _pacf_to_ar_with_jac(np.tanh(S))[0]
     converged &= _step_down(phi)[1]
     sigma2 = _q_impl(Y, X, phi, 1, want_grad=False)[0].tolist()
     q = _q_impl(Y, X, phi, m, want_grad=False)[0].tolist()
-    restarts = starts.shape[1] - 1
+    restarts = np.bincount(rows, minlength=G).tolist()
     return [
-        FitResult(ArParams(f, s2), qv, m, p, iterations=it, restarts=restarts, converged=c, grad_norm=g)
-        for f, s2, qv, it, c, g in zip(phi, sigma2, q, iterations.tolist(), converged.tolist(), grad_inf.tolist())
+        FitResult(ArParams(f, s2), qv, m, p, iterations=it, restarts=r, converged=c, grad_norm=g)
+        for f, s2, qv, it, r, c, g in zip(
+            phi, sigma2, q, iterations.tolist(), restarts, converged.tolist(), grad_inf.tolist()
+        )
     ]
 
 
 def fit_match(series, p, m, opts=None):
     """Minimize the up-to-m-step prediction criterion over stationary AR(p).
 
-    Multi-start, one batch: the OLS solution (root-scaled to radius
-    _PROJECT_RADIUS when its radius is _START_RADIUS or more) plus
-    ``opts.extra_starts`` deterministic jittered copies.  Never raises on
+    Two starts, one batch: the OLS solution (root-scaled to radius
+    _PROJECT_RADIUS when its radius is _START_RADIUS or more), and the
+    ideal-world fit under the sample autocovariances (``restarts`` reads 1;
+    0 where they are singular and only the OLS row runs).  Never raises on
     a hard instance: if no start converges the best point found is
     returned with ``converged=False``.  So is a model that is not
     stationary (``ArParams.is_stationary``): the step-up from |r| within
@@ -347,9 +356,10 @@ def fit_ideal(truth, p, m, opts=None):
     error gamma(0) - 2 phi'gamma_p + phi'Gamma_p phi, whose minimizer is the
     Levinson (Yule-Walker) solution and whose minimum is the recursion's
     last variance v[p], so both come from ``levinson_solve`` and no solver
-    runs.  Past m = 1 the solver starts once, from the Levinson solution
-    (``opts.extra_starts`` is not used), and sigma2 is the m = 1 criterion
-    at its result, which the step-up from |r| < 1 keeps stationary.
+    runs.  Past m = 1 the solver starts once, from the Levinson solution,
+    and sigma2 is the m = 1 criterion at its result, which the step-up
+    from |r| < 1 keeps stationary.  ``fit_match`` starts from this fit
+    under the sample autocovariances.
     """
     _check_orders(p, m)
     opts = opts or FitOptions()

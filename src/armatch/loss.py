@@ -177,16 +177,21 @@ def _moments_q(s, c, G, phi, m, want_grad):
 
 
 def _population_moments(gamma, p, m):
-    """(s, c, G) of the population criterion from gamma(0..p+m-1)."""
-    if gamma.shape[0] < p + m:
+    """(s, c, G) of the population criterion from gamma(0..p+m-1): from one
+    sequence (K,), s (m,), c (m, p) and G (p, p), one matrix for every
+    horizon; from a stack (B, K), one set per row, laid out as
+    ``_empirical_moments`` lays out a stack's: s (m, B), c (m, B, p) and
+    G (m, B, p, p)."""
+    if gamma.shape[-1] < p + m:
         raise InsufficientLags(
-            f"need gamma up to lag {p + m - 1}, have {gamma.shape[0] - 1}"
+            f"need gamma up to lag {p + m - 1}, have {gamma.shape[-1] - 1}"
         )
     lags = np.arange(p)
-    s = np.full(m, gamma[0])
-    c = gamma[np.arange(1, m + 1)[:, None] + lags]
-    G = gamma[np.abs(lags[:, None] - lags)]
-    return s, c, G
+    c = gamma[..., np.arange(1, m + 1)[:, None] + lags]
+    G = gamma[..., np.abs(lags[:, None] - lags)]
+    if gamma.ndim == 1:
+        return np.full(m, gamma[0]), c, G
+    return np.repeat(gamma[None, :, 0], m, axis=0), c.swapaxes(0, 1), np.broadcast_to(G, (m,) + G.shape)
 
 
 def _empirical_moments(y, X, p, m):

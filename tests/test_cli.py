@@ -85,7 +85,7 @@ class TestFit:
         main([*args, "--output", str(tmp_path / "fit.json")])
         main([*args, "--format", "csv", "--output", str(tmp_path / "fit.csv")])
         doc = json.loads((tmp_path / "fit.json").read_text())
-        assert doc["iterations"] > 0 and doc["restarts"] == 2
+        assert doc["iterations"] > 0 and doc["restarts"] == 1
         assert 0.0 <= doc["grad_norm"] < 1e-6
         header, line = (tmp_path / "fit.csv").read_text().splitlines()
         assert header == "p,m,q_value,sigma2,converged,centered_mean,phi,iterations,restarts,grad_norm"

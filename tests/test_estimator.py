@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,9 @@ from armatch import (
 from armatch import estimator
 from armatch.acvf import _pacf_to_ar_with_jac
 from armatch.companion import ar_spectral_radius
-from armatch.estimator import _JITTERS, _phi_to_s
+from armatch.estimator import _phi_to_s
 from armatch.loss import _empirical_moments, _moments_q, lag_matrix
+from armatch.seeding import mix_seed
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
@@ -194,11 +197,6 @@ class TestFitMatch:
         with pytest.raises(ValueError, match="must be >= "):
             fit_match(y, p, m)
 
-    def test_options_respected(self):
-        y = simulate_arma(ArmaSpec([0.4], [], 1.0), 100, 29)
-        fit = fit_match(y, 1, 2, FitOptions(extra_starts=0))
-        assert fit.restarts == 0
-
 
 class TestNonFiniteSeries:
     def test_fit_ols(self):
@@ -243,7 +241,7 @@ class TestPacfJacobian:
 
 def _bfgs_oracle_q(y, p, m):
     """Least empirical criterion over scipy BFGS runs on the moment form,
-    from the starts fit_match uses."""
+    from the OLS start and two fixed offsets of it in s."""
     moments = _empirical_moments(y, lag_matrix(y, p), p, m)
 
     def objective(s):
@@ -254,7 +252,7 @@ def _bfgs_oracle_q(y, p, m):
 
     s0 = _phi_to_s(fit_ols(y, p).phi)
     best = np.inf
-    for s in [s0] + [s0 + j for j in _JITTERS]:
+    for s in (s0, s0 + 0.3, s0 - 0.45):
         res = scipy_minimize(objective, s, method="BFGS", jac=True, options={"gtol": 1e-8})
         best = min(best, empirical_q(y, ArParams(pacf_to_ar(np.tanh(res.x)), 1.0), m))
     return best
@@ -303,13 +301,15 @@ class TestNewtonSolver:
 
 @pytest.mark.parametrize("p, m", [(1, 2), (3, 5), (6, 10)])
 def test_grouped_minimize_equals_one_call_per_group(p, m):
-    # Five series at scales 1e-100..1e100, their start rows interleaved in
-    # one call, against one call per series.
+    # Five series at scales 1e-100..1e100, their two start rows (OLS and
+    # ideal-world) interleaved in one call, against one call per series.
     opts = FitOptions()
     ys = [10.0 ** (100 * s - 100) * simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 200, 50 + s) for s in range(3)]
     ys += [simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), 200, 50 + s) for s in range(2)]
     moments = [_empirical_moments(y, lag_matrix(y, p), p, m) for y in ys]
-    starts = [estimator._match_starts(estimator._project_stationary(fit_ols(y, p).phi), opts) for y in ys]
+    starts = [np.concatenate([_phi_to_s(fit_ols(y, p).phi)[None], estimator._ideal_starts(y[None], p, m, opts)[1]])
+              for y in ys]
+    assert all(len(st) == 2 for st in starts)
     rows = np.random.default_rng(0).permutation(sum(len(st) for st in starts))
     groups = np.repeat(np.arange(len(ys)), len(starts[0]))[rows]
     stacked = tuple(np.stack(x, axis=1) for x in zip(*moments))
@@ -320,6 +320,88 @@ def test_grouped_minimize_equals_one_call_per_group(p, m):
         one = estimator.minimize(mom, m, st, opts)
         assert q[g] == pytest.approx(one[1][0], rel=1e-12)
         assert converged[g] == one[4][0]
+
+
+def _ols_row_only_q(y, p, m):
+    """The empirical criterion where the solver ends from fit_match's OLS
+    start row alone."""
+    moments = _empirical_moments(y, lag_matrix(y, p), p, m)
+    s = estimator.minimize(moments, m, _phi_to_s(fit_ols(y, p).phi)[None], FitOptions())[0][0]
+    return empirical_q(y, ArParams(pacf_to_ar(np.tanh(s)), 1.0), m)
+
+
+@pytest.mark.parametrize("k, p", [(11, 2), (8, 6), (23, 8)])
+def test_ideal_start_escapes_the_ols_start_local_minimum(k, p):
+    # A TAR at n = 60, m = 20, where the solve from the OLS row alone ends
+    # in a local minimum 7.5%, 1.0% and 0.6% above the least q; the fit
+    # with the ideal-world start reaches the BFGS oracle's q.
+    y = simulate_tar(TarSpec([0.9], [-0.4, 0.3], 0.5, 2, 1.0), 60, mix_seed(777, k))
+    m = 20
+    fit = fit_match(y, p, m)
+    assert _ols_row_only_q(y, p, m) >= 1.005 * fit.q_value
+    assert fit.converged and fit.restarts == 1
+    assert fit.q_value == pytest.approx(_bfgs_oracle_q(y, p, m), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tar=st.booleans(),
+    n=st.integers(60, 400),
+    p=st.integers(1, 8),
+    m=st.integers(2, 10),
+)
+def test_ideal_start_can_only_help(seed, tar, n, p, m):
+    # The OLS row's path does not depend on the ideal row beside it, so the
+    # fit ends no higher than a solve from the OLS row alone.
+    if tar:
+        y = simulate_tar(TarSpec([0.9], [-0.4, 0.3], 0.5, 2, 1.0), n, seed)
+    else:
+        y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, seed)
+    assert fit_match(y, p, m).q_value <= _ols_row_only_q(y, p, m) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [5, 6])
+@pytest.mark.parametrize("m", [1, 4])
+def test_ideal_starts_are_fit_ideal_under_the_sample_autocovariances(p, m):
+    # A series gets a second start exactly where levinson_solve accepts its
+    # uncentered biased sample autocovariances, and that start is fit_ideal
+    # under them (at m = 1 the projected Levinson solution).  A Gaussian
+    # pulse (width 20, n = 400) has a last Durbin variance of 1.1e-11
+    # gamma_0 at p = 5 and 1.7e-13 gamma_0, below the floor, at p = 6.
+    n = 400
+    t = np.arange(n)
+    Y = np.array([simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 5),
+                  simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, 6),
+                  np.zeros(n), np.exp(-(((t - n / 2) / 20.0) ** 2))])
+    rows, S = estimator._ideal_starts(Y, p, m, FitOptions())
+    want = []
+    for i, y in enumerate(Y):
+        try:
+            truth = AcvfSeq([y[: n - k] @ y[k:] / n for k in range(p + m)])
+            phi0 = levinson_solve(truth, p)[0]
+        except (ValueError, SingularToeplitz):
+            continue
+        want.append(i)
+        if i < 2:  # the pulse's start is ill-conditioned in gamma
+            got = pacf_to_ar(np.tanh(S[len(want) - 1]))
+            expected = fit_ideal(truth, p, m)[0].phi if m > 1 else pacf_to_ar(np.tanh(_phi_to_s(phi0)))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-7)
+    assert rows.tolist() == want == [0, 1] + [3] * (p == 5)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_singular_autocovariances_keep_the_ols_row_alone(m):
+    # An all-zero series has gamma_0 = 0: it gets no ideal-world start, and
+    # no 0/0 is evaluated on the way; its neighbours in a stack get theirs.
+    Y = np.array([simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 80, 3), np.zeros(80)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fits = estimator._fit_match_stack(Y, 2, m, FitOptions())
+        zero = fit_match(np.zeros(80), 2, 3)
+    assert [fit.restarts for fit in fits] == [1, 0]
+    assert zero.restarts == 0 and zero.converged and zero.q_value == 0.0
+    assert _same_fit(fits[1], estimator._fit_match_stack(Y[1:], 2, m, FitOptions())[0])
 
 
 def _same_fit(a, b):
@@ -356,26 +438,32 @@ def test_stacked_fit_equals_fit_match_bit_for_bit(kind, n):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [None, 60, 400])
-def test_stacked_ols_starts_equal_per_series_path(p, n):
+def test_stacked_ols_starts_equal_per_series_path(monkeypatch, p, n):
     # Rows: TAR and ARMA series, an alternating series (singular design at
     # p >= 2), an integrated random walk (OLS outside _START_RADIUS, so
     # projected) and a zero series (singular at every p); n = None is too
-    # short for OLS.
+    # short for OLS.  The stacked fit's first start row of each series is
+    # the s of its own OLS solution, or of zeros where fit_ols raises.
     n = n or 2 * p
     rows = [simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, s) for s in range(4)]
     rows += [simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 7), np.tile([1.0, -1.0], n)[:n],
              np.cumsum(np.cumsum(np.random.default_rng(p).standard_normal(n))), np.zeros(n)]
     Y = np.array(rows)
-    got = estimator._ols_starts(Y, lag_matrix(Y, p), p)
+    calls = []
+    real = estimator.minimize
+    monkeypatch.setattr(estimator, "minimize", lambda *a: calls.append(a) or real(*a))
+    estimator._fit_match_stack(Y, p, 1, FitOptions())
+    (_, _, starts, _, groups), = calls  # at m = 1 the ideal rows need no solve
+    assert groups[: len(Y)].tolist() == list(range(len(Y)))
     singular = projected = 0
-    for y, row in zip(Y, got):
+    for y, row in zip(Y, starts):
         try:
             start = fit_ols(y, p).phi
         except (SingularDesign, TooShort):
             start = np.zeros(p)
             singular += 1
         projected += ar_spectral_radius(start) >= estimator._START_RADIUS
-        assert row.tobytes() == estimator._project_stationary(start).tobytes()
+        assert row.tobytes() == _phi_to_s(start).tobytes()
     assert singular >= (len(rows) if n < 2 * p + 1 else 1 + (p >= 2))
     assert projected >= (n >= 2 * p + 1)
 
@@ -425,19 +513,18 @@ def test_projection_of_a_stack_is_row_by_row():
         assert stacked.tobytes() == np.array([estimator._project_stationary(row) for row in phi]).tobytes()
 
 
-def test_match_starts_of_a_stack_equal_the_per_row_form():
-    # One stacked step-down gives each row the start rows of its own
+def test_phi_to_s_of_a_stack_equals_the_per_row_form():
+    # One stacked step-down gives each row the s of its own projection and
     # ar_to_pacf call, bit for bit.
     rng = np.random.default_rng(12)
-    opts = FitOptions()
     for p in range(1, 11):
-        phi = estimator._project_stationary(rng.uniform(-2.0, 2.0, (30, p)) / p)
+        phi = rng.uniform(-2.0, 2.0, (30, p)) / p
         per_row = []
         for row in phi:
-            s0 = np.arctanh(np.clip(ar_to_pacf(row), -estimator._R_MAX, estimator._R_MAX))
-            per_row.append(np.stack([s0] + [s0 + j for j in _JITTERS]))
-            assert estimator._match_starts(row, opts).tobytes() == per_row[-1].tobytes()
-        assert estimator._match_starts(phi, opts).tobytes() == np.array(per_row).tobytes()
+            r = ar_to_pacf(estimator._project_stationary(row))
+            per_row.append(np.arctanh(np.clip(r, -estimator._R_MAX, estimator._R_MAX)))
+            assert _phi_to_s(row).tobytes() == per_row[-1].tobytes()
+        assert _phi_to_s(phi).tobytes() == np.array(per_row).tobytes()
 
 
 def test_fit_outside_the_stationary_region_is_not_converged():

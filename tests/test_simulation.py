@@ -487,12 +487,12 @@ class TestRunExperiment:
         assert repr(run_experiment(plan, jobs=2)) == expected
 
     def test_failure_inside_batched_fit_fails_one_replicate(self, monkeypatch):
-        real = estimator._ols_starts
+        real = estimator._stacked_ols
 
-        def fails_on_replicate_1(Y, X, p):
+        def fails_on_replicate_1(Y, X):
             if first_y[1] in Y[:, 0]:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return real(Y, X, p)
+            return real(Y, X)
 
         plan = self._tiny_plan(replicates=12, estimators=(EstimatorSpec("m2", "match", 1, 2),))
         expected = run_experiment(plan).rows
@@ -500,7 +500,7 @@ class TestRunExperiment:
         batches = []
         real_stack = simulation._fit_match_stack
         monkeypatch.setattr(simulation, "_fit_match_stack", lambda Y, *a: batches.append(len(Y)) or real_stack(Y, *a))
-        monkeypatch.setattr(estimator, "_ols_starts", fails_on_replicate_1)
+        monkeypatch.setattr(estimator, "_stacked_ols", fails_on_replicate_1)
         report = run_experiment(plan)
         assert batches == [12]  # the batched call ran, and raised
         assert report.summary["failures"] == [{"replicate": 1, "error": "LinAlgError: Singular matrix"}]
