@@ -175,7 +175,9 @@ def ar_acvf(model, max_lag):
     """Autocovariances gamma(0..max_lag) implied by a stationary AR model.
 
     gamma(0..p) solve the dense Yule-Walker system (including sigma2);
-    higher lags extend by gamma(k) = sum_j phi_j gamma(k - j).
+    higher lags extend by gamma(k) = sum_j phi_j gamma(k - j).  A model within
+    rounding of the unit circle whose sequence fails ``AcvfSeq``'s checks
+    raises NonStationary too.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
@@ -200,7 +202,10 @@ def ar_acvf(model, max_lag):
     g[: p + 1] = head
     for k in range(p + 1, g.shape[0]):
         g[k] = phi @ g[k - 1: k - p - 1: -1] if p > 1 else phi[0] * g[k - 1]
-    return AcvfSeq(g[: max_lag + 1])
+    try:
+        return AcvfSeq(g[: max_lag + 1])
+    except ValueError as exc:
+        raise NonStationary(f"AR coefficients give no valid autocovariances: {exc}") from None
 
 
 def arma_acvf(spec, max_lag):

@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -262,8 +263,6 @@ def _plan_from_config(path):
 
 
 def cmd_experiment(args):
-    import os
-
     plan = _plan_from_config(args.config)
     report = run_experiment(plan, jobs=args.jobs)
     os.makedirs(args.output, exist_ok=True)

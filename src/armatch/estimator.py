@@ -2,7 +2,7 @@
 
 One damped Newton solver, ``minimize``, runs every iterative fit on a
 stack of starts at once (the starts of one fit, or of many fits in groups,
-as the m > 1 bootstrap does), in unconstrained coordinates
+as ``_fit_stack`` does for a stack of series), in unconstrained coordinates
 s -> r = tanh(s) -> phi (partial autocorrelations to AR coefficients), so
 every iterate is stationary by construction.  ``fit_ols`` is the closed-form one-step
 conditional-least-squares baseline, which feature matching reproduces at
@@ -270,82 +270,95 @@ def _ideal_starts(Y, p, m, opts):
     if not rows.size:
         return rows, np.empty((0, p))
     S = _phi_to_s(np.array([levinson[i][0] for i in rows]))
-    if m > 1:  # one series' moments go in unstacked, as in _fit_match_stack
+    if m > 1:  # one series' moments go in unstacked, as in _fit_stack
         moments = _population_moments(gamma[rows] if rows.size > 1 else gamma[rows[0]], p, m)
         S = minimize(moments, m, S, opts, np.arange(rows.size))[0]
     return rows, S
 
 
-def _fit_match_stack(Y, p, m, opts):
-    """``fit_match(y, p, m, opts)`` on its iterative path, for every row y
-    of a stack Y (G, n) of equal-length finite series, n >= p + m, p >= 1,
-    in one ``minimize`` call: one group per series, on the stacked
-    empirical moments.
+def _fit_stack(Y, X, m, opts):
+    """The one place that chooses how ``fit_match`` fits a series, for
+    every row of a stack Y (G, n) of equal-length finite series with lag
+    matrices X = lag_matrix(Y, p), n >= p + m, p >= 1: arrays phi (G, p),
+    iterations, restarts, converged and grad_inf (G,).
 
-    Each series gets the start rows ``fit_match`` gives it (its projected
-    OLS solution, or zeros where OLS raises SingularDesign or TooShort,
-    then its ``_ideal_starts`` row if it has one, which ``restarts`` counts),
-    and back the same FitResult, bit for bit: every step of the solver acts
-    on each row alone, so a series' result does not depend on the others
-    in its stack.  The tail runs for the whole stack too: one step-up call,
-    then sigma2 (the m = 1 criterion) and q from the stacked residual
-    kernel, and one step-down that marks a fit not converged where its
-    model is not stationary.
+    At m = 1 the criterion is exactly the conditional least-squares
+    quadratic, so a row whose OLS solution passes ``_gram_ok`` and the
+    step-down takes it as the exact minimizer (grad_inf reads NaN there).
+    Every other row is one group of one ``minimize`` call on the stacked
+    empirical moments, from its projected OLS solution (zeros where OLS
+    raises SingularDesign or TooShort) and its ``_ideal_starts`` row if it
+    has one (``restarts``); the solver acts on each row alone, so a fit
+    does not depend on its stack.  A solved model that fails the step-down
+    is not converged.
     """
     G, n = Y.shape
+    p = X.shape[-1]
+    ols, ok = _stacked_ols(Y, X) if n >= 2 * p + 1 else (np.zeros((G, p)), np.zeros(G, dtype=bool))
+    closed = ok & _step_down(ols)[1] if m == 1 else np.zeros(G, dtype=bool)
+    phi, iterations, restarts = ols, np.zeros(G, dtype=int), np.zeros(G, dtype=int)
+    converged, grad_inf = closed.copy(), np.full(G, np.nan)
+    solve = np.flatnonzero(~closed)
+    if solve.size:
+        Ys, Xs = Y[solve], X[solve]
+        rows, ideal = _ideal_starts(Ys, p, m, opts)
+        # A lone series' moments go in unstacked: minimize's shared-moment
+        # form skips the per-row indexing and solves faster.
+        moments = _empirical_moments(Ys, Xs, p, m) if solve.size > 1 else _empirical_moments(Ys[0], Xs[0], p, m)
+        S, _, grad_inf[solve], iterations[solve], conv = minimize(
+            moments, m, np.concatenate([_phi_to_s(ols[solve]), ideal]), opts,
+            np.concatenate([np.arange(solve.size), rows]),
+        )
+        phi[solve] = _pacf_to_ar_with_jac(np.tanh(S))[0]
+        converged[solve] = conv & _step_down(phi[solve])[1]
+        restarts[solve] = np.bincount(rows, minlength=solve.size)
+    return phi, iterations, restarts, converged, grad_inf
+
+
+def _fit_match_stack(Y, p, m, opts):
+    """``fit_match(y, p, m, opts)`` for every row y of a stack Y (G, n) of
+    equal-length finite series, n >= p + m, p >= 1, bit for bit: the fit of
+    ``_fit_stack``, then q from the stacked residual kernel, sigma2 (the
+    m = 1 criterion, q itself at m = 1) likewise, and, on the rows that took
+    the closed form, the exact gradient norm from the same m = 1 call."""
     X = lag_matrix(Y, p)
-    ols = _stacked_ols(Y, X)[0] if n >= 2 * p + 1 else np.zeros((G, p))
-    rows, ideal = _ideal_starts(Y, p, m, opts)
-    # A lone series' moments go in unstacked: minimize's shared-moment form
-    # skips the per-row indexing and solves faster.
-    moments = _empirical_moments(Y, X, p, m) if G > 1 else _empirical_moments(Y[0], X[0], p, m)
-    S, _, grad_inf, iterations, converged = minimize(
-        moments, m, np.concatenate([_phi_to_s(ols), ideal]), opts, np.concatenate([np.arange(G), rows])
-    )
-    phi = _pacf_to_ar_with_jac(np.tanh(S))[0]
-    converged &= _step_down(phi)[1]
-    sigma2 = _q_impl(Y, X, phi, 1, want_grad=False)[0].tolist()
-    q = _q_impl(Y, X, phi, m, want_grad=False)[0].tolist()
-    restarts = np.bincount(rows, minlength=G).tolist()
+    phi, iterations, restarts, converged, grad_inf = _fit_stack(Y, X, m, opts)
+    q, grad = _q_impl(Y, X, phi, m, want_grad=m == 1)
+    sigma2 = q if m == 1 else _q_impl(Y, X, phi, 1, want_grad=False)[0]
+    closed = np.isnan(grad_inf)
+    if closed.any():
+        grad_inf[closed] = np.maximum.reduce(np.abs(grad[closed]), axis=1)
+    columns = (x.tolist() for x in (sigma2, q, iterations, restarts, converged, grad_inf))
     return [
         FitResult(ArParams(f, s2), qv, m, p, iterations=it, restarts=r, converged=c, grad_norm=g)
-        for f, s2, qv, it, r, c, g in zip(
-            phi, sigma2, q, iterations.tolist(), restarts, converged.tolist(), grad_inf.tolist()
-        )
+        for f, s2, qv, it, r, c, g in zip(phi, *columns)
     ]
 
 
 def fit_match(series, p, m, opts=None):
     """Minimize the up-to-m-step prediction criterion over stationary AR(p).
 
-    Two starts, one batch: the OLS solution (root-scaled to radius
+    At m = 1 a stationary OLS solution is the exact minimizer and is
+    returned as it is (``iterations`` and ``restarts`` read 0).  Otherwise
+    two starts, one batch: the OLS solution (root-scaled to radius
     _PROJECT_RADIUS when its radius is _START_RADIUS or more), and the
     ideal-world fit under the sample autocovariances (``restarts`` reads 1;
     0 where they are singular and only the OLS row runs).  Never raises on
     a hard instance: if no start converges the best point found is
     returned with ``converged=False``.  So is a model that is not
     stationary (``ArParams.is_stationary``): the step-up from |r| within
-    rounding of 1 can land just outside the region.  Past the p = 0 and
-    m = 1 closed forms this is the one-series call of ``_fit_match_stack``.
+    rounding of 1 can land just outside the region.  Past its argument
+    checks and the p = 0 closed form this is the one-series call of
+    ``_fit_match_stack``.
     """
     _check_orders(p, m)
-    opts = opts or FitOptions()
     y = _finite_series(series)
     n = y.shape[0]
     _check_length(n, p, m)
     if p == 0:
         model = ArParams(np.zeros(0), float(y @ y) / n)
         return FitResult(model, empirical_q(y, model, m), m, 0)
-    if m == 1 and n >= 2 * p + 1:
-        X = lag_matrix(y, p)
-        phi, ok = _stacked_ols(y[None], X[None])
-        if ok[0] and _step_down(phi)[1][0]:
-            # At m = 1 the criterion is exactly the conditional least-squares
-            # quadratic, so a stationary OLS solution is the exact minimizer
-            # over the (open) stationary region; skip the iterative solver.
-            q, g = _q_impl(y, X, phi[0], 1, want_grad=True)
-            return FitResult(ArParams(phi[0], q), q, 1, p, converged=True, grad_norm=float(np.max(np.abs(g))))
-    return _fit_match_stack(y[None], p, m, opts)[0]
+    return _fit_match_stack(y[None], p, m, opts or FitOptions())[0]
 
 
 def fit_ideal(truth, p, m, opts=None):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .acvf import AcvfSeq, _step_down, ar_acvf
 from .errors import BootstrapFailed, DegenerateFit, TooShort
-from .estimator import FitOptions, _fit_match_stack, _stacked_ols, fit_match, fit_ols
+from .estimator import FitOptions, _fit_stack, fit_ideal, fit_match, fit_ols
 from .loss import _finite_series, _moments_q, _population_moments, _q_impl, ar_filter, lag_matrix, population_q
 from .seeding import rng_from, stream_integers
 
@@ -64,8 +64,6 @@ def log_loss(series, p, m, opts=None):
 
 def ideal_log_loss(truth, p, m, opts=None):
     """log of the population criterion at its ideal-world minimizer."""
-    from .estimator import fit_ideal
-
     _, qstar = fit_ideal(truth, p, m, opts)
     return math.log(qstar)
 
@@ -77,8 +75,6 @@ def approx_decrease(truth, p, m, opts=None):
     rhs = (Qstar_p - Qstar_{p+1}) / Qstar_{p+1}; the two agree when the
     population criterion varies slowly in p.
     """
-    from .estimator import fit_ideal
-
     _, q_p = fit_ideal(truth, p, m, opts)
     _, q_p1 = fit_ideal(truth, p + 1, m, opts)
     lhs = math.log(q_p) - math.log(q_p1)
@@ -109,6 +105,9 @@ def _subsample_length(n, p, m):
 
 
 def _bootstrap_replicate(args):
+    """One replicate's difference on its own (a fresh rng_from(seed, p, b),
+    ``fit_match`` and ``population_q``): the per-replicate reference form
+    of ``_batched_diffs``, which no library code calls."""
     model, resid_pool, gamma_hat, n, p, m, seed, b, opts = args
     rng = rng_from(seed, p, b)
     yb, eps = _simulate_fitted(model, resid_pool, n, rng)
@@ -132,24 +131,18 @@ def _bootstrap_replicate(args):
 
 
 def _batched_diffs(tasks):
-    """``[_bootstrap_replicate(t) for t in tasks]`` for the tasks of one
+    """The differences of ``_bootstrap_replicate`` for the tasks of one
     order (they differ only in b), computed as one batch.
 
-    Replicate b still draws its innovations from the stream of
+    Replicate b draws its innovations from the stream of
     rng_from(seed, p, b), as ``_simulate_fitted`` does, but the indices of
     all B streams are drawn in one pass (``stream_integers``).  The B
-    series are filtered together.  At m = 1 their fits are the OLS
-    solutions of one stacked (B, p, p) solve.  At m > 1 they are
-    ``fit_match``'s stacked path, ``_fit_match_stack``, which gives each
-    replicate the fit ``fit_match`` gives its series, projected start and
-    singular design included.  The in-sample criterion comes from the
-    stacked residual kernel ``_q_impl`` and the population criterion Q*
-    from the moments of gamma_hat, for all replicates at once.  A replicate
-    that fails a check of the per-replicate path is redone by
-    ``_bootstrap_replicate``: a near-singular Gram matrix (m = 1), a fitted
-    model that is not stationary (one stacked ``_step_down``, the
-    predicate ``population_q`` applies to each model), or a difference
-    that is not finite.
+    series are filtered together and fitted by ``_fit_stack``, which gives
+    each the model ``fit_match`` gives it.  The in-sample criterion comes
+    from the stacked residual kernel ``_q_impl`` and Q* from the moments of
+    gamma_hat.  A replicate reads None (skipped) where its model fails the
+    step-down (the predicate of ``population_q``), its in-sample criterion
+    is at most _DEGENERATE_FLOOR, or its difference is not finite.
     """
     model, pool, gamma_hat, ell, p, m, seed, _, opts = tasks[0]
     burn = _BURNIN_BASE + p
@@ -157,31 +150,18 @@ def _batched_diffs(tasks):
     eps = pool[stream_integers(seed, p, [task[7] for task in tasks], pool.shape[0], ell + burn)]
     tail = eps[:, burn + p:]
     tail_ms = np.einsum("ij,ij->i", tail, tail) / tail.shape[1]
-    y = eps[:, burn:] if p == 0 else ar_filter(model.phi, eps)[:, burn:]
-    ok = np.ones(len(tasks), dtype=bool)
-    if p == 0 or m == 1:
-        X = lag_matrix(y, p)
-        phi, ok = _stacked_ols(y, X) if p else (np.zeros((len(tasks), 0)), ok)
-        q = _q_impl(y, X, phi, m, want_grad=False)[0]
-    else:
-        fits = _fit_match_stack(y, p, m, opts or FitOptions())
-        phi = np.array([fit.model.phi for fit in fits])
-        q = np.array([fit.q_value for fit in fits])
-    qstar = gamma_hat.gamma[0]
+    y = ar_filter(model.phi, eps)[:, burn:]
+    X = lag_matrix(y, p)
     if p:
-        ok &= _step_down(phi, 1.0)[1]
+        phi = _fit_stack(y, X, m, opts or FitOptions())[0]
         qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
+    else:
+        phi, qstar = np.zeros((len(tasks), 0)), gamma_hat.gamma[0]
+    q = _q_impl(y, X, phi, m, want_grad=False)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         diffs = np.log(qstar) - (np.log(q) - np.log(tail_ms))
-    ok &= np.isfinite(diffs)
-    out = []
-    for task, good, qb, d in zip(tasks, ok.tolist(), q.tolist(), diffs.tolist()):
-        if not good:
-            d = _bootstrap_replicate(task)
-        elif qb <= _DEGENERATE_FLOOR:
-            d = None
-        out.append(d)
-    return out
+    ok = _step_down(phi, 1.0)[1] & (q > _DEGENERATE_FLOOR) & np.isfinite(diffs)
+    return [d if good else None for good, d in zip(ok.tolist(), diffs.tolist())]
 
 
 def _control_variate_mean(resid_pool, n):
@@ -237,11 +217,10 @@ def bootstrap_bias(series, p, m, B, seed, opts=None):
     two thirds, see ``_subsample_length``), which conservatively inflates
     the penalty and is what makes the downstream order selection reliable.
     Replicate b uses the derived seed mix(seed, p, b); degenerate
-    replicates are skipped (at most 20% may be skipped).  The B replicates
-    run as one vectorised batch in this process: the resample indices of
-    all B streams drawn in one pass, then closed-form OLS refits at m = 1,
-    one grouped ``minimize`` call at m > 1.  At p = 0 and m = 1 every
-    replicate difference is log gamma_hat(0), so no series is drawn.
+    replicates are skipped, at most 20% of them.  The B replicates run as
+    one vectorised batch in this process (``_batched_diffs``): the resample
+    indices drawn in one pass, then one stacked refit.  At p = 0 and m = 1 every replicate difference is
+    log gamma_hat(0), so no series is drawn.
     """
     if B < 1:
         raise ValueError("B must be >= 1")

@@ -26,6 +26,7 @@ from .estimator import FitOptions, _fit_match_stack, fit_match, fit_ols
 from .loss import _check_length, _finite_series, ar_filter, empirical_q, population_q
 from .parallel import parallel_map
 from .seeding import mix_seed, rng_from
+from .selection import select_order
 
 __all__ = [
     "TarSpec",
@@ -314,8 +315,6 @@ def _run_replicate(args, y=None, fits=None):
             }
         )
     if plan.selection is not None:
-        from .selection import select_order
-
         sel = select_order(
             y,
             plan.selection.p_max,

@@ -91,6 +91,33 @@ class TestArAcvf:
         with pytest.raises(NonStationary):
             ar_acvf(ArParams([1.01], 1.0), 2)
 
+    def test_invalid_autocovariances_raise_nonstationary(self):
+        # phi just below 1 passes the step-down, but gamma(0) =
+        # sigma2 / (1 - phi^2) overflows: the sequence fails AcvfSeq's checks.
+        model = ArParams([1.0 - 2.0**-53], 1e300)
+        assert model.is_stationary
+        with pytest.raises(NonStationary, match="gamma must be finite"):
+            ar_acvf(model, 3)
+
+    @pytest.mark.parametrize("phi, sigma2", [
+        # Data fits (m = 5 on t^2 at n = 50, p = 5; on 1.05^t at n = 80,
+        # p = 4; m = 1 on t at n = 50, p = 3) whose roots sit within
+        # rounding of the unit circle: their Yule-Walker solutions fail
+        # |gamma(k)| <= gamma(0), gamma(0) > 0 and the Toeplitz minor check.
+        ([1.7857783319567044, -0.35738547393368636, 0.35741040473172014, -1.785782730097203,
+          0.9999794672397141], 1.5969467639895891e-07),
+        ([1.999987014491978, 1.2729067351613388e-05, -1.9999870073393704, 0.9999872637799886],
+         1.401573434372554e-05),
+        ([1.0000000043238058, 0.9999999842603965, -0.9999999933121895], 1.7531019512247237e-14),
+    ])
+    def test_boundary_models_never_raise_value_error(self, phi, sigma2):
+        model = ArParams(phi, sigma2)
+        assert model.is_stationary
+        try:
+            ar_acvf(model, model.order + 5)
+        except NonStationary:
+            pass
+
     def test_yule_walker_recursion_residual(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

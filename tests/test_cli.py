@@ -173,6 +173,17 @@ class TestSelect:
         assert header.split(",")[6:8] == ["replicates_used", "bias_se"]
         assert [float(line.split(",")[7]) for line in lines] == [row["bias_se"] for row in rows]
 
+    @pytest.mark.parametrize("name, y", [("t2", np.arange(50.0) ** 2), ("exp", 1.05 ** np.arange(80.0))])
+    def test_unit_root_data_fit_exits_1(self, tmp_path, capsys, name, y):
+        # An order's data fit sits within rounding of the unit circle, so its
+        # autocovariances fail validation: a runtime failure, not a usage error.
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in y))
+        code = main(["select", "--input", str(path), "--max-order", "6", "--steps", "5",
+                     "--bootstrap", "20", "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
     def test_bootstrap_zero_exit_2(self, ar2_file):
         code = main(["select", "--input", ar2_file, "--max-order", "2",
                      "--steps", "1", "--bootstrap", "0", "--seed", "1"])

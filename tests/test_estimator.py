@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
@@ -20,6 +20,7 @@ from armatch import (
     ar_to_pacf,
     arma_acvf,
     empirical_q,
+    empirical_q_gradient,
     fit_ideal,
     fit_match,
     fit_ols,
@@ -34,7 +35,7 @@ from armatch import estimator
 from armatch.acvf import _pacf_to_ar_with_jac
 from armatch.companion import ar_spectral_radius
 from armatch.estimator import _phi_to_s
-from armatch.loss import _empirical_moments, _moments_q, lag_matrix
+from armatch.loss import _empirical_moments, _moments_q, ar_filter, lag_matrix
 from armatch.seeding import mix_seed
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
@@ -390,16 +391,26 @@ def test_ideal_starts_are_fit_ideal_under_the_sample_autocovariances(p, m):
     assert rows.tolist() == want == [0, 1] + [3] * (p == 5)
 
 
+def _explosive(n, seed):
+    """An AR(1) path with phi = 1 + 6 / n: at n 60-400 and p 1-5 its OLS
+    design passes the Gram check and its OLS solution is not stationary."""
+    return ar_filter(np.array([1.0 + 6.0 / n]), np.random.default_rng(seed).standard_normal(n))
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_singular_autocovariances_keep_the_ols_row_alone(m):
     # An all-zero series has gamma_0 = 0: it gets no ideal-world start, and
     # no 0/0 is evaluated on the way; its neighbours in a stack get theirs.
-    Y = np.array([simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 80, 3), np.zeros(80)])
+    # At m = 1 a stationary OLS solution is taken as it is, so there the
+    # neighbour is explosive and runs the solver too.
+    neighbour = _explosive(80, 3) if m == 1 else simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 80, 3)
+    Y = np.array([neighbour, np.zeros(80)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         fits = estimator._fit_match_stack(Y, 2, m, FitOptions())
         zero = fit_match(np.zeros(80), 2, 3)
     assert [fit.restarts for fit in fits] == [1, 0]
+    assert fits[0].iterations > 0 and fits[1].converged
     assert zero.restarts == 0 and zero.converged and zero.q_value == 0.0
     assert _same_fit(fits[1], estimator._fit_match_stack(Y[1:], 2, m, FitOptions())[0])
 
@@ -436,34 +447,83 @@ def test_stacked_fit_equals_fit_match_bit_for_bit(kind, n):
                     assert _same_fit(fit, full[g]), (p, m, rows)
 
 
+def _mixed_series(kind, n, seed):
+    if kind == "arma":
+        return simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, seed)
+    if kind == "tar":
+        return simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, seed)
+    if kind == "alternating":  # singular design at p >= 2
+        return np.tile([1.0, -1.0], n)[:n]
+    if kind == "walk":  # OLS often outside the stationary region
+        return np.cumsum(np.random.default_rng(seed).standard_normal(n))
+    return np.zeros(n)  # singular at every p
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kinds=st.permutations(["arma", "tar", "alternating", "walk", "zero", "arma", "tar"]),
+    seed=st.integers(0, 2**32 - 8),
+    n=st.integers(13, 200),
+    p=st.integers(1, 8),
+    m=st.integers(1, 5),
+)
+def test_stacked_fit_is_fit_match_and_m1_gives_ols(kinds, seed, n, p, m):
+    # Every row of a mixed stack is fit_match on its own series, bit for
+    # bit, whichever way the row is fitted; at m = 1 a row is fit_ols's
+    # solution exactly wherever that solution is stationary (n < 2p + 1
+    # leaves OLS too short, and every row runs the solver).
+    assume(n >= p + m)
+    Y = np.array([_mixed_series(kind, n, seed + i) for i, kind in enumerate(kinds)])
+    for y, fit in zip(Y, estimator._fit_match_stack(Y, p, m, FitOptions())):
+        assert _same_fit(fit, fit_match(y, p, m))
+        if m > 1:
+            continue
+        try:
+            ols = fit_ols(y, p)
+        except (SingularDesign, TooShort):
+            continue
+        if ols.is_stationary:
+            assert fit.model.phi.tobytes() == ols.phi.tobytes()
+            assert repr(fit.model.sigma2) == repr(ols.sigma2) == repr(fit.q_value)
+            assert (fit.iterations, fit.restarts, fit.converged) == (0, 0, True)
+            assert repr(fit.grad_norm) == repr(float(np.max(np.abs(empirical_q_gradient(y, ols, 1)))))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [None, 60, 400])
 def test_stacked_ols_starts_equal_per_series_path(monkeypatch, p, n):
     # Rows: TAR and ARMA series, an alternating series (singular design at
-    # p >= 2), an integrated random walk (OLS outside _START_RADIUS, so
-    # projected) and a zero series (singular at every p); n = None is too
-    # short for OLS.  The stacked fit's first start row of each series is
-    # the s of its own OLS solution, or of zeros where fit_ols raises.
+    # p >= 2), an integrated random walk, an explosive series (OLS not
+    # stationary, so projected) and a zero series (singular at every p);
+    # n = None is too short for OLS.  At m = 1 a series whose OLS solution
+    # is stationary takes it and never reaches the solver; every other
+    # series is one group of the solve, in stack order, whose first start
+    # row is the s of its own OLS solution, or of zeros where fit_ols raises.
     n = n or 2 * p
     rows = [simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, s) for s in range(4)]
     rows += [simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 7), np.tile([1.0, -1.0], n)[:n],
-             np.cumsum(np.cumsum(np.random.default_rng(p).standard_normal(n))), np.zeros(n)]
+             np.cumsum(np.cumsum(np.random.default_rng(p).standard_normal(n))), _explosive(n, p), np.zeros(n)]
     Y = np.array(rows)
     calls = []
     real = estimator.minimize
     monkeypatch.setattr(estimator, "minimize", lambda *a: calls.append(a) or real(*a))
-    estimator._fit_match_stack(Y, p, 1, FitOptions())
+    fits = estimator._fit_match_stack(Y, p, 1, FitOptions())
     (_, _, starts, _, groups), = calls  # at m = 1 the ideal rows need no solve
-    assert groups[: len(Y)].tolist() == list(range(len(Y)))
-    singular = projected = 0
-    for y, row in zip(Y, starts):
+    solved = singular = projected = 0
+    for y, fit in zip(Y, fits):
         try:
             start = fit_ols(y, p).phi
         except (SingularDesign, TooShort):
             start = np.zeros(p)
             singular += 1
+        else:
+            if ArParams(start, 1.0).is_stationary:
+                assert fit.model.phi.tobytes() == start.tobytes() and fit.iterations == 0
+                continue
         projected += ar_spectral_radius(start) >= estimator._START_RADIUS
-        assert row.tobytes() == _phi_to_s(start).tobytes()
+        assert starts[solved].tobytes() == _phi_to_s(start).tobytes()
+        solved += 1
+    assert groups[:solved].tolist() == list(range(solved)) and groups.max() == solved - 1
     assert singular >= (len(rows) if n < 2 * p + 1 else 1 + (p >= 2))
     assert projected >= (n >= 2 * p + 1)
 

@@ -146,46 +146,53 @@ class TestBatchedBootstrap:
         # agree to rounding in absolute terms even when they are near zero.
         np.testing.assert_allclose(*zip(*kept), rtol=1e-12, atol=1e-14)
 
-    def test_failed_stationarity_check_falls_back(self, monkeypatch):
+    def test_failed_stationarity_check_skips_the_replicate(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 71)
         tasks = _order_tasks(y, 2, 1, 10, seed=3)
-        real = selection._step_down
-        oracle = selection._bootstrap_replicate
-        redone = []
+        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        assert selection._penalty(tasks)[1] == 10
+        _skips_one_replicate(monkeypatch, tasks, oracle, 4, rtol=1e-12, atol=1e-14)
 
-        def one_fails(phis, c):
-            r, ok = real(phis, c)
-            ok[4] = False
-            return r, ok
+    def test_degenerate_criterion_skips_the_replicate(self, monkeypatch):
+        # An in-sample criterion of 1e-300 or less has a finite log, yet the
+        # replicate reads None.
+        y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 71)
+        tasks = _order_tasks(y, 2, 1, 10, seed=3)
+        real = selection._q_impl
 
-        def replicate(task):
-            redone.append(task[7])
-            return oracle(task)
+        def one_degenerate(*args, **kwargs):
+            q, grad = real(*args, **kwargs)
+            q[2] = 1e-301
+            return q, grad
 
-        monkeypatch.setattr(selection, "_step_down", one_fails)
-        monkeypatch.setattr(selection, "_bootstrap_replicate", replicate)
+        monkeypatch.setattr(selection, "_q_impl", one_degenerate)
+        monkeypatch.setattr(selection, "_bootstrap_replicate", None)
         batched = selection._batched_diffs(tasks)
-        assert redone == [5]
-        assert batched[4] == oracle(tasks[4])
-        np.testing.assert_allclose(batched, [oracle(t) for t in tasks], rtol=1e-12, atol=1e-14)
+        assert batched[2] is None and all(d is not None for i, d in enumerate(batched) if i != 2)
 
-    def test_failed_gram_check_falls_back(self, monkeypatch):
+    def test_failed_gram_check_runs_the_solver(self, monkeypatch):
+        # A replicate whose OLS design fails the Gram check is fitted by the
+        # solver inside the batch, from zeros and its ideal-world start, as
+        # fit_match fits such a series; at m = 1 the solver ends at the OLS
+        # minimizer, so its difference is the oracle's within tolerance.
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 74)
         tasks = _order_tasks(y, 2, 1, 10, seed=3)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        real = selection._stacked_ols
+        real, real_minimize = estimator._stacked_ols, estimator.minimize
+        solved = []
 
         def one_fails(Y, X):
             phi, ok = real(Y, X)
-            ok[6] = False
+            ok[6], phi[6] = False, 0.0
             return phi, ok
 
-        monkeypatch.setattr(selection, "_stacked_ols", one_fails)
+        monkeypatch.setattr(estimator, "_stacked_ols", one_fails)
+        monkeypatch.setattr(estimator, "minimize", lambda *a: solved.append(a[4].max() + 1) or real_minimize(*a))
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
-        assert redone == [7]
-        assert batched[6] == oracle[6]
-        np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=1e-14)
+        assert redone == [] and solved == [1]
+        assert batched[6] == pytest.approx(oracle[6], abs=1e-7)
+        np.testing.assert_allclose(batched[:6] + batched[7:], oracle[:6] + oracle[7:], rtol=1e-12, atol=1e-14)
 
     # n = 2^31 + 1 and 3 * 2^30 + 7 reject about a half and a quarter of
     # all 32-bit halves, so most of their rows are redrawn by numpy; 2^32 - 5
@@ -240,15 +247,27 @@ class TestBatchedBootstrap:
         assert math.isnan(select_order(y, 1, 1, 1, seed=4).rows[1].bias_se)
 
 
-def _same_fit(a, b):
-    """FitResult equality field for field, bit for bit."""
-    return (
-        a.model.phi.tobytes() == b.model.phi.tobytes()
-        and repr(a.model.sigma2) == repr(b.model.sigma2)
-        and repr(a.q_value) == repr(b.q_value)
-        and (a.m, a.order, a.iterations, a.restarts, a.converged) == (b.m, b.order, b.iterations, b.restarts, b.converged)
-        and repr(a.grad_norm) == repr(b.grad_norm)
-    )
+def _skips_one_replicate(monkeypatch, tasks, oracle, row, **tol):
+    """Make the batch's step-down reject replicate ``row``: it reads None,
+    the order's replicates used drop by one, no replicate is redone by
+    ``_bootstrap_replicate``, and the others keep the oracle's values."""
+    real = selection._step_down
+    calls = []
+
+    def one_fails(phis, c):
+        r, ok = real(phis, c)
+        ok[row] = False
+        calls.append(c)
+        return r, ok
+
+    used = selection._penalty(tasks)[1]
+    monkeypatch.setattr(selection, "_step_down", one_fails)
+    monkeypatch.setattr(selection, "_bootstrap_replicate", None)
+    batched = selection._batched_diffs(tasks)
+    assert calls == [1.0] and batched[row] is None
+    assert selection._penalty(tasks)[1] == used - 1
+    rest = [i for i in range(len(tasks)) if i != row]
+    np.testing.assert_allclose([batched[i] for i in rest], [oracle[i] for i in rest], **tol)
 
 
 def _recording_oracle(monkeypatch):
@@ -291,13 +310,13 @@ class TestMultistepBatch:
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
         tasks = _order_tasks(y, 2, 3, 10, seed=3)
         stacks = []
-        real_stack = selection._fit_match_stack
+        real_stack = selection._fit_stack
 
         def recording(Y, *args):
             stacks.append((Y.copy(), real_stack(Y, *args)))
             return stacks[-1][1]
 
-        monkeypatch.setattr(selection, "_fit_match_stack", recording)
+        monkeypatch.setattr(selection, "_fit_stack", recording)
         selection._batched_diffs(tasks)
         singular = stacks[0][0][6, :3]
         real_ols = estimator._stacked_ols
@@ -315,11 +334,14 @@ class TestMultistepBatch:
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
         assert redone == [] and np.all(np.isfinite(batched))
-        Y, fits = stacks[1]
-        for y_b, fit in zip(Y, fits):
-            assert _same_fit(fit, fit_match(y_b, 2, 3))
+        Y, (phi, iterations, restarts, converged, grad_inf) = stacks[1]
+        for b, y_b in enumerate(Y):
+            fit = fit_match(y_b, 2, 3)
+            assert phi[b].tobytes() == fit.model.phi.tobytes()
+            assert (iterations[b], restarts[b], converged[b]) == (fit.iterations, fit.restarts, fit.converged)
+            assert repr(float(grad_inf[b])) == repr(fit.grad_norm)
         assert failed == [1] + [0] * 6 + [1] + [0] * 3  # the batch, then fit_match on rows 0..9
-        assert fits[6].model.phi.tobytes() != stacks[0][1][6].model.phi.tobytes()
+        assert phi[6].tobytes() != stacks[0][1][0][6].tobytes()
 
     def test_projected_start_stays_in_batch(self, monkeypatch):
         # Near a unit root many bootstrap OLS starts have radius 0.99 or
@@ -341,25 +363,25 @@ class TestMultistepBatch:
         assert redone == [] and sum(projected) >= 2
         np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-7)
 
-    def test_failed_stationarity_check_falls_back(self, monkeypatch):
+    def test_failed_stationarity_check_skips_the_replicate(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 75)
         tasks = _order_tasks(y, 3, 4, 10, seed=3)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        real = selection._step_down
-        calls = []
+        assert selection._penalty(tasks)[1] == 10
+        _skips_one_replicate(monkeypatch, tasks, oracle, 4, rtol=0, atol=1e-7)
 
-        def one_fails(phis, c):
-            r, ok = real(phis, c)
-            ok[4] = False
-            calls.append(c)
-            return r, ok
 
-        monkeypatch.setattr(selection, "_step_down", one_fails)
-        redone = _recording_oracle(monkeypatch)
-        batched = selection._batched_diffs(tasks)
-        assert calls == [1.0] and redone == [5]
-        assert batched[4] == oracle[4]
-        np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-7)
+@pytest.mark.parametrize("y, m", [
+    (np.arange(50.0) ** 2, 1), (np.arange(80.0) ** 2, 5), (np.arange(80.0), 2), (1.05 ** np.arange(80.0), 1),
+])
+def test_unit_root_replicates_are_skipped_not_refitted(monkeypatch, y, m):
+    # Deterministic series whose fitted models sit near the unit circle: a
+    # replicate whose model fails the step-down reads None and counts
+    # against the 20% rule, and the selection finishes.
+    monkeypatch.setattr(selection, "_bootstrap_replicate", None)
+    res = select_order(y, 6, m, 20, seed=7)
+    assert all(16 <= row.replicates_used <= 20 for row in res.rows)
+    assert any(row.replicates_used < 20 for row in res.rows)
 
 
 class TestOrderZeroPenalty:
@@ -399,7 +421,7 @@ class TestOrderZeroPenalty:
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 78)
         tasks = _order_tasks(y, 0, 4, 15, seed=6)
         oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        monkeypatch.setattr(selection, "_fit_match_stack", None)
+        monkeypatch.setattr(selection, "_fit_stack", None)
         monkeypatch.setattr(estimator, "minimize", None)
         monkeypatch.setattr(selection, "_bootstrap_replicate", None)
         np.testing.assert_allclose(selection._batched_diffs(tasks), oracle, rtol=0, atol=1e-14)
