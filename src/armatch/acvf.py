@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .companion import ar_spectral_radius
 from .errors import InsufficientLags, NonStationary, SingularToeplitz
 
 # Relative floor on Levinson prediction-error variances; below this the
@@ -171,84 +170,62 @@ def levinson_solve(acvf, p):
     return a, pacf, v
 
 
-def ar_acvf(model, max_lag):
-    """Autocovariances gamma(0..max_lag) implied by a stationary AR model.
+def _linear_acvf(phi, theta, sigma2, max_lag):
+    """Autocovariances gamma(0..max_lag) of the ARMA process with AR part
+    phi (stationary), MA part theta and innovation variance sigma2.
 
-    gamma(0..p) solve the dense Yule-Walker system (including sigma2);
-    higher lags extend by gamma(k) = sum_j phi_j gamma(k - j).  A model within
-    rounding of the unit circle whose sequence fails ``AcvfSeq``'s checks
-    raises NonStationary too.
+    gamma(0..r), r = max(p, q), solve the dense (r+1) x (r+1) system
+    gamma(k) - sum_j phi_j gamma(|k - j|) = sigma2 sum_{j=k..q} theta_j psi_{j-k}
+    (theta_0 = 1), in which only the MA(inf) weights psi_0..psi_q enter
+    (Brockwell & Davis 1991, section 3.3); higher lags extend by
+    gamma(k) = sum_j phi_j gamma(k - j).  A model within rounding of the
+    unit circle whose sequence fails ``AcvfSeq``'s checks raises
+    NonStationary.
     """
+    p, q = phi.shape[0], theta.shape[0]
+    r = max(p, q)
+    theta = np.concatenate(([1.0], theta))
+    psi = theta.copy()
+    if p:  # with no AR part psi = theta, bit for bit
+        for j in range(1, q + 1):
+            k = min(j, p)
+            psi[j] += phi[:k] @ psi[j - 1:: -1][:k]
+    b = np.zeros(r + 1)
+    for k in range(q + 1):
+        b[k] = sigma2 * (theta[k:] @ psi[: q + 1 - k])
+    A = np.eye(r + 1)
+    for k in range(r + 1):
+        for j in range(1, p + 1):
+            A[k, abs(k - j)] -= phi[j - 1]
+    g = np.zeros(max(max_lag, r) + 1)
+    g[: r + 1] = np.linalg.solve(A, b)
+    for k in range(r + 1, g.shape[0]):
+        g[k] = phi[0] * g[k - 1] if p == 1 else phi @ g[k - 1: k - p - 1: -1]
+    try:
+        return AcvfSeq(g[: max_lag + 1])
+    except ValueError as exc:
+        raise NonStationary(f"the model gives no valid autocovariances: {exc}") from None
+
+
+def ar_acvf(model, max_lag):
+    """Autocovariances gamma(0..max_lag) implied by a stationary AR model:
+    the dense Yule-Walker solve of ``_linear_acvf`` with no MA part."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if not model.is_stationary:
         raise NonStationary("AR coefficients are not stationary")
-    phi = model.phi
-    p = model.order
-    if p == 0:
-        g = np.zeros(max_lag + 1)
-        g[0] = model.sigma2
-        return AcvfSeq(g)
-    # Equations gamma(k) - sum_j phi_j gamma(|k - j|) = sigma2 * [k == 0],
-    # k = 0..p, assembled as a dense (p+1) x (p+1) system.
-    A = np.eye(p + 1)
-    for k in range(p + 1):
-        for j in range(1, p + 1):
-            A[k, abs(k - j)] -= phi[j - 1]
-    b = np.zeros(p + 1)
-    b[0] = model.sigma2
-    head = np.linalg.solve(A, b)
-    g = np.empty(max(max_lag, p) + 1)
-    g[: p + 1] = head
-    for k in range(p + 1, g.shape[0]):
-        g[k] = phi @ g[k - 1: k - p - 1: -1] if p > 1 else phi[0] * g[k - 1]
-    try:
-        return AcvfSeq(g[: max_lag + 1])
-    except ValueError as exc:
-        raise NonStationary(f"AR coefficients give no valid autocovariances: {exc}") from None
+    return _linear_acvf(model.phi, np.zeros(0), model.sigma2, max_lag)
 
 
 def arma_acvf(spec, max_lag):
-    """Autocovariances of a stationary ARMA process via its MA(inf) weights.
-
-    The psi-weight expansion is truncated adaptively using the geometric
-    decay rate of the AR part, so the neglected tail contributes less than
-    1e-12 * gamma(0).  Pure MA specs are computed exactly.
-    """
+    """Autocovariances gamma(0..max_lag) of a stationary ARMA process,
+    exact up to rounding: one dense solve of ``_linear_acvf``.  With no MA
+    part it equals :func:`ar_acvf` bit for bit."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if not spec.is_stationary:
         raise NonStationary("AR part of the ARMA spec is not stationary")
-    ar, ma = spec.ar, spec.ma
-    p, q = ar.shape[0], ma.shape[0]
-    if p == 0:
-        psi = np.concatenate(([1.0], ma))
-    else:
-        rho = ar_spectral_radius(ar)
-        # |psi_j| decays like rho^j asymptotically; start past the MA part
-        # and grow until the geometric tail bound is negligible.
-        n_psi = q + p + 64
-        psi = None
-        while True:
-            psi = np.zeros(n_psi)
-            psi[0] = 1.0
-            psi[1: q + 1] = ma
-            for j in range(1, n_psi):
-                lo = max(0, j - p)
-                psi[j] += ar[: j - lo] @ psi[j - 1: lo - 1 if lo > 0 else None: -1]
-            tail_mag = np.max(np.abs(psi[-p:])) if p > 0 else 0.0
-            # Bound on the neglected part of sum psi_j psi_{j+k}.
-            tail_bound = (tail_mag ** 2) * rho / max(1.0 - rho * rho, 1e-300)
-            gamma0 = spec.sigma2 * float(psi @ psi)
-            if tail_bound * spec.sigma2 < 1e-13 * max(gamma0, 1e-300):
-                break
-            if n_psi > 2_000_000:
-                raise NonStationary("psi-weight expansion failed to converge")
-            n_psi *= 2
-    g = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        g[k] = spec.sigma2 * float(psi[: psi.shape[0] - k] @ psi[k:]) if k < psi.shape[0] else 0.0
-    return AcvfSeq(g)
+    return _linear_acvf(spec.ar, spec.ma, spec.sigma2, max_lag)
 
 
 def pacf_to_ar(r):

@@ -1,7 +1,8 @@
 """Companion matrices of AR coefficient vectors and their spectral radii.
 
 The stationarity predicate is the step-down recursion in ``acvf``; a
-radius here is computed only where its value is needed.
+radius here is computed only where its value is needed: to project an
+optimizer start into the stationary region.
 """
 
 import numpy as np
@@ -39,14 +40,6 @@ def spectral_radius(matrix):
     if matrix.shape[0] == 1:
         return abs(float(matrix[0, 0]))
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
-
-
-def ar_spectral_radius(phi):
-    """Spectral radius of the companion matrix of ``phi`` (0.0 when p = 0)."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape[0] == 0:
-        return 0.0
-    return spectral_radius(companion_matrix(phi))
 
 
 def ar_spectral_radii(phis):

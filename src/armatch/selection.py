@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acvf import AcvfSeq, _step_down, ar_acvf
-from .errors import BootstrapFailed, DegenerateFit, TooShort
+from .acvf import _step_down, ar_acvf
+from .errors import BootstrapFailed, DegenerateFit, SingularDesign, TooShort
 from .estimator import FitOptions, _fit_stack, fit_ideal, fit_match, fit_ols
 from .loss import _finite_series, _moments_q, _population_moments, _q_impl, ar_filter, lag_matrix, population_q
 from .seeding import rng_from, stream_integers
@@ -180,10 +180,7 @@ def _bootstrap_tasks(y, fit, m, B, seed, opts):
     resid = resid - resid.mean()
     if float(resid @ resid) <= 0.0:
         raise DegenerateFit("residuals are identically zero; cannot bootstrap")
-    if p == 0:
-        gamma_hat = AcvfSeq(np.concatenate(([fit.model.sigma2], np.zeros(m))))
-    else:
-        gamma_hat = ar_acvf(fit.model, p + m)
+    gamma_hat = ar_acvf(fit.model, p + m)
     ell = _subsample_length(y.shape[0], p, m)
     return [(fit.model, resid, gamma_hat, ell, p, m, seed, b, opts) for b in range(1, B + 1)]
 
@@ -287,7 +284,10 @@ def select_order(series, p_max, m, B, seed, opts=None):
 def aic_baseline(series, p_max):
     """AIC over conditional-least-squares fits: log(sigma2_p) + 2p/n.
 
-    Returns (chosen_p, aic_values); ties go to the smaller order.
+    Returns (chosen_p, aic_values).  An order whose lagged design is
+    singular, or whose residual variance is degenerate, scores NaN; the
+    choice is the least finite value, ties going to the smaller order, and
+    DegenerateFit is raised only if no value is finite.
     """
     y = _finite_series(series)
     n = y.shape[0]
@@ -296,11 +296,15 @@ def aic_baseline(series, p_max):
             f"series of length {n} too short for OLS at p_max={p_max}",
             min_n=max(2 * p_max + 1, 2),
         )
-    values = []
+    values = np.full(p_max + 1, np.nan)
     for p in range(p_max + 1):
-        s2 = fit_ols(y, p).sigma2
-        if s2 <= _DEGENERATE_FLOOR:
-            raise DegenerateFit(f"residual variance degenerate at p={p}")
-        values.append(math.log(s2) + 2.0 * p / n)
-    values = np.array(values)
-    return int(np.argmin(values)), values
+        try:
+            s2 = fit_ols(y, p).sigma2
+        except SingularDesign:
+            continue
+        if s2 > _DEGENERATE_FLOOR:
+            values[p] = math.log(s2) + 2.0 * p / n
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise DegenerateFit("no order has a finite AIC")
+    return int(np.argmin(np.where(finite, values, np.inf))), values

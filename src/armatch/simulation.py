@@ -75,12 +75,15 @@ class TarSpec:
             raise ValueError("TAR coefficients must be finite")
         if not (_step_down(lo[None])[1][0] and _step_down(hi[None])[1][0]):
             raise NonStationary("both TAR regimes must be stationary")
+        if not np.isfinite(float(self.threshold)):
+            raise ValueError("threshold must be finite")
         _check_count("delay", self.delay, 1)
-        if float(self.sigma2) <= 0.0:
+        s2 = float(self.sigma2)
+        if not np.isfinite(s2) or s2 <= 0.0:
             raise ValueError("sigma2 must be positive")
         object.__setattr__(self, "phi_low", lo)
         object.__setattr__(self, "phi_high", hi)
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", s2)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from armatch import (
     AcvfSeq,
@@ -15,7 +18,7 @@ from armatch import (
     pacf_to_ar,
 )
 from armatch.acvf import _durbin, _step_down
-from armatch.companion import ar_spectral_radius
+from armatch.companion import ar_spectral_radii
 
 
 class TestLevinsonSolve:
@@ -147,7 +150,7 @@ class TestArmaAcvf:
             phi = pacf_to_ar(rng.uniform(-0.9, 0.9, p))
             a = ar_acvf(ArParams(phi, 1.3), 10).gamma
             b = arma_acvf(ArmaSpec(phi, [], 1.3), 10).gamma
-            assert np.max(np.abs(a - b)) <= 1e-12 * a[0]
+            assert a.tobytes() == b.tobytes()
 
     def test_arma11_against_brute_force_psi(self):
         phi, theta, s2 = 0.8, -0.5, 1.0
@@ -165,6 +168,52 @@ class TestArmaAcvf:
         with pytest.raises(NonStationary):
             arma_acvf(ArmaSpec([1.2], [0.3], 1.0), 3)
 
+    @pytest.mark.parametrize("phi", [0.99, 0.9999, 0.99999])
+    def test_arma11_closed_form_near_the_unit_circle(self, phi):
+        theta, s2 = 0.3, 1.7
+        g = arma_acvf(ArmaSpec([phi], [theta], s2), 5).gamma
+        denom = 1.0 - phi * phi
+        assert g[0] == pytest.approx(s2 * (1.0 + 2.0 * phi * theta + theta * theta) / denom, rel=1e-9)
+        assert g[1] == pytest.approx(s2 * (1.0 + phi * theta) * (phi + theta) / denom, rel=1e-9)
+
+
+@st.composite
+def _stationary_arma(draw):
+    """ARMA(p <= 4, q <= 4) whose AR roots, real or in conjugate pairs,
+    have modulus at most 0.9."""
+    p = draw(st.integers(0, 4))
+    roots = []
+    while len(roots) < p:
+        radius = draw(st.floats(0.0, 0.9))
+        if p - len(roots) >= 2 and draw(st.booleans()):
+            z = radius * np.exp(1j * draw(st.floats(0.0, np.pi)))
+            roots += [z, np.conj(z)]
+        else:
+            roots.append(radius * draw(st.sampled_from([-1.0, 1.0])))
+    poly = np.ones(1)  # coefficients of prod_i (1 - z_i B)
+    for z in roots:
+        poly = np.convolve(poly, [1.0, -z])
+    phi = -poly[1:].real
+    theta = draw(st.lists(st.floats(-2.0, 2.0), max_size=4))
+    return ArmaSpec(phi, theta, 10.0 ** draw(st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_stationary_arma(), max_lag=st.integers(0, 12))
+def test_arma_acvf_matches_a_long_psi_sum(spec, max_lag):
+    # The truth's autocovariances are a valid (PSD) sequence up to the lag
+    # asked for and agree with a 2000-term MA(inf) sum, whose neglected tail
+    # is below 0.9^2000 relative.  The tolerance is set by the dense solve:
+    # four real roots at 0.9 give its matrix a condition number near 1e7
+    # and an error of 5.4e-10 gamma(0) (against a 60-digit solve); the
+    # psi-sum is within 2e-13 there.
+    got = arma_acvf(spec, max_lag)
+    assert isinstance(got, AcvfSeq) and got.max_lag == max_lag
+    N = 2000
+    psi = lfilter(np.r_[1.0, spec.ma], np.r_[1.0, -spec.ar], np.eye(1, N)[0])
+    want = np.array([spec.sigma2 * (psi[: N - k] @ psi[k:]) for k in range(max_lag + 1)])
+    assert np.max(np.abs(got.gamma - want)) <= 1e-9 * want[0]
+
 
 class TestPacfBijection:
     def test_order_one_identity(self):
@@ -181,7 +230,7 @@ class TestPacfBijection:
             p = int(rng.integers(1, 7))
             r = rng.uniform(-0.95, 0.95, p)
             phi = pacf_to_ar(r)
-            assert ar_spectral_radius(phi) < 1.0
+            assert ar_spectral_radii(phi[None])[0] < 1.0
             assert np.max(np.abs(ar_to_pacf(phi) - r)) < 1e-12
 
     def test_nonstationary_input_rejected(self):

@@ -184,6 +184,25 @@ class TestSelect:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("name, y, singular_from", [
+        ("exp", 1.05 ** np.arange(50.0), 2),
+        ("trend", np.arange(80.0), 3),
+    ])
+    def test_singular_aic_orders_score_nan(self, tmp_path, name, y, singular_from):
+        # From order singular_from on, the lagged OLS design of these series
+        # is singular: the AIC baseline scores those orders NaN, chooses
+        # among the rest, and select succeeds.
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in y))
+        out = tmp_path / "sel.json"
+        code = main(["select", "--input", str(path), "--max-order", "6", "--steps", "1",
+                     "--bootstrap", "20", "--seed", "7", "--output", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        aic = np.array([row["aic"] for row in doc["orders"]])
+        assert np.isnan(aic).tolist() == [p >= singular_from for p in range(7)]
+        assert doc["aic_chosen_p"] == int(np.argmin(aic[:singular_from]))
+
     def test_bootstrap_zero_exit_2(self, ar2_file):
         code = main(["select", "--input", ar2_file, "--max-order", "2",
                      "--steps", "1", "--bootstrap", "0", "--seed", "1"])
@@ -246,14 +265,22 @@ class TestSimulate:
                      "--n", "5", "--seed", "1", "--output", str(tmp_path / "x")])
         assert code == 1
 
-    @pytest.mark.parametrize("phi_low", ["nan", "nan,0.1"])
-    def test_non_finite_tar_coefficients_exit_2(self, tmp_path, capsys, phi_low):
-        code = main(["simulate", "--model", "tar", "--phi-low", phi_low, "--phi-high", "-0.3",
-                     "--n", "5", "--seed", "1", "--output", str(tmp_path / "x")])
+    @pytest.mark.parametrize("option, value, message", [
+        pytest.param("--phi-low", "nan", "TAR coefficients must be finite", id="nan"),
+        pytest.param("--phi-low", "nan,0.1", "TAR coefficients must be finite", id="nan,0.1"),
+        pytest.param("--sigma2", "nan", "sigma2 must be positive", id="sigma2-nan"),
+        pytest.param("--sigma2", "inf", "sigma2 must be positive", id="sigma2-inf"),
+        pytest.param("--threshold", "nan", "threshold must be finite", id="threshold-nan"),
+    ])
+    def test_non_finite_tar_coefficients_exit_2(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "x"
+        code = main(["simulate", "--model", "tar", "--phi-low", "0.5", "--phi-high", "-0.3",
+                     "--n", "5", "--seed", "1", option, value, "--output", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: TAR coefficients must be finite" in err
+        assert f"error: {message}" in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_coefficient_list_exit_2(self, tmp_path):
         code = main(["simulate", "--model", "arma", "--ar", "0.5;0.2",

@@ -33,7 +33,7 @@ from armatch import (
 
 from armatch import estimator
 from armatch.acvf import _pacf_to_ar_with_jac
-from armatch.companion import ar_spectral_radius
+from armatch.companion import ar_spectral_radii
 from armatch.estimator import _phi_to_s
 from armatch.loss import _empirical_moments, _moments_q, ar_filter, lag_matrix
 from armatch.seeding import mix_seed
@@ -520,7 +520,7 @@ def test_stacked_ols_starts_equal_per_series_path(monkeypatch, p, n):
             if ArParams(start, 1.0).is_stationary:
                 assert fit.model.phi.tobytes() == start.tobytes() and fit.iterations == 0
                 continue
-        projected += ar_spectral_radius(start) >= estimator._START_RADIUS
+        projected += ar_spectral_radii(start[None])[0] >= estimator._START_RADIUS
         assert starts[solved].tobytes() == _phi_to_s(start).tobytes()
         solved += 1
     assert groups[:solved].tolist() == list(range(solved)) and groups.max() == solved - 1
@@ -540,11 +540,11 @@ def test_projection_scales_every_root_to_the_projection_radius():
     done = 0
     while done < 300:
         phi = edge.pop() if edge else rng.uniform(-3.0, 3.0, int(rng.integers(1, 13)))
-        rho = ar_spectral_radius(phi)
+        rho = ar_spectral_radii(phi[None])[0]
         if rho < estimator._START_RADIUS:
             assert estimator._project_stationary(phi).tobytes() == phi.tobytes()
             continue
-        assert abs(ar_spectral_radius(estimator._project_stationary(phi)) - c) <= 1e-12
+        assert abs(ar_spectral_radii(estimator._project_stationary(phi)[None])[0] - c) <= 1e-12
         done += 1
 
 

@@ -552,3 +552,8 @@ class TestAicBaseline:
         p, vals = aic_baseline(y, 3)
         assert vals.shape == (4,)
         assert p == int(np.argmin(vals))
+
+    def test_no_finite_value_raises(self):
+        # A zero series: order 0 is degenerate, every lagged design singular.
+        with pytest.raises(DegenerateFit, match="no order has a finite AIC"):
+            aic_baseline(np.zeros(10), 2)

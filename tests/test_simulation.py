@@ -166,12 +166,22 @@ class TestSimulateTar:
         with pytest.raises(NonStationary):
             TarSpec([1.2], [0.5], 0.0, 1, 1.0)
 
-    @pytest.mark.parametrize("lo, hi", [([np.nan], [0.5]), ([np.nan, 0.1], [0.5]), ([0.5], [0.1, np.inf])])
-    def test_non_finite_coefficients_rejected(self, lo, hi):
+    @pytest.mark.parametrize("lo, hi, threshold, sigma2, message", [
+        pytest.param([np.nan], [0.5], 0.0, 1.0, "TAR coefficients must be finite", id="lo0-hi0"),
+        pytest.param([np.nan, 0.1], [0.5], 0.0, 1.0, "TAR coefficients must be finite", id="lo1-hi1"),
+        pytest.param([0.5], [0.1, np.inf], 0.0, 1.0, "TAR coefficients must be finite", id="lo2-hi2"),
+        # A NaN threshold once put every step in the high regime; a
+        # non-finite sigma2 once diverged inside the simulator.
+        pytest.param([0.5], [-0.3], np.nan, 1.0, "threshold must be finite", id="threshold-nan"),
+        pytest.param([0.5], [-0.3], np.inf, 1.0, "threshold must be finite", id="threshold-inf"),
+        pytest.param([0.5], [-0.3], 0.0, np.nan, "sigma2 must be positive", id="sigma2-nan"),
+        pytest.param([0.5], [-0.3], 0.0, np.inf, "sigma2 must be positive", id="sigma2-inf"),
+    ])
+    def test_non_finite_coefficients_rejected(self, lo, hi, threshold, sigma2, message):
         # Finiteness is checked first: a radius test alone reads a NaN
         # regime as stationary, since nan >= 1 is False.
-        with pytest.raises(ValueError, match="TAR coefficients must be finite"):
-            TarSpec(lo, hi, 0.0, 1, 1.0)
+        with pytest.raises(ValueError, match=message):
+            TarSpec(lo, hi, threshold, 1, sigma2)
 
     @pytest.mark.parametrize(
         "spec",
