@@ -234,7 +234,17 @@ def pacf_to_ar(r):
     r = np.atleast_1d(np.asarray(r, dtype=float)) if np.size(r) else np.zeros(0)
     if np.any(np.abs(r) >= 1.0):
         raise ValueError("partial autocorrelations must lie strictly in (-1, 1)")
-    return _pacf_to_ar_with_jac(r)[0]
+    return _pacf_to_ar(r)
+
+
+def _pacf_to_ar(r):
+    """The step-up recursion alone, for one vector r of shape (p,) or a
+    stack (N, p): row 0 of :func:`_pacf_to_ar_with_jac`, by the same
+    arithmetic in the same order, so the two agree bit for bit."""
+    phi = np.array(r, dtype=float)
+    for k in range(1, phi.shape[-1]):
+        phi[..., :k] -= r[..., k, None] * phi[..., k - 1::-1]
+    return phi
 
 
 def _pacf_to_ar_with_jac(r):

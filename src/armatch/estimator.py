@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acvf import (
-    SINGULARITY_FLOOR, ArParams, _durbin, _pacf_to_ar_with_jac, _step_down, levinson_solve, pacf_to_ar
+    SINGULARITY_FLOOR, ArParams, _durbin, _pacf_to_ar, _pacf_to_ar_with_jac, _step_down, levinson_solve, pacf_to_ar
 )
 from .companion import ar_spectral_radii
 from .errors import NoConvergence, SingularDesign, TooShort
@@ -124,7 +124,11 @@ def _phi_to_s(phi):
     or a stack (B, p): each vector projected (``_project_stationary``),
     then r from one stacked step-down, clamped to |r| <= _R_MAX."""
     phi = _project_stationary(phi)
-    r = _step_down(phi.reshape(-1, phi.shape[-1]))[0].reshape(phi.shape)
+    return _r_to_s(_step_down(phi.reshape(-1, phi.shape[-1]))[0].reshape(phi.shape))
+
+
+def _r_to_s(r):
+    """s = arctanh(r), r clamped to |r| <= _R_MAX."""
     return np.arctanh(np.clip(r, -_R_MAX, _R_MAX))
 
 
@@ -276,7 +280,7 @@ def _ideal_starts(Y, p, m, opts):
     return rows, S
 
 
-def _fit_stack(Y, X, m, opts):
+def _fit_stack(Y, X, m, opts, start=None):
     """The one place that chooses how ``fit_match`` fits a series, for
     every row of a stack Y (G, n) of equal-length finite series with lag
     matrices X = lag_matrix(Y, p), n >= p + m, p >= 1: arrays phi (G, p),
@@ -287,10 +291,12 @@ def _fit_stack(Y, X, m, opts):
     step-down takes it as the exact minimizer (grad_inf reads NaN there).
     Every other row is one group of one ``minimize`` call on the stacked
     empirical moments, from its projected OLS solution (zeros where OLS
-    raises SingularDesign or TooShort) and its ``_ideal_starts`` row if it
-    has one (``restarts``); the solver acts on each row alone, so a fit
-    does not depend on its stack.  A solved model that fails the step-down
-    is not converged.
+    raises SingularDesign or TooShort) and a second start (``restarts``):
+    its ``_ideal_starts`` row if it has one, or, where the caller knows the
+    law the series came from, ``start`` (p,), that law's ideal-world fit,
+    projected as every start is, for every row.  The solver acts on each
+    row alone, so a fit does not depend on its stack.  A solved model that
+    fails the step-down is not converged.
     """
     G, n = Y.shape
     p = X.shape[-1]
@@ -301,28 +307,33 @@ def _fit_stack(Y, X, m, opts):
     solve = np.flatnonzero(~closed)
     if solve.size:
         Ys, Xs = Y[solve], X[solve]
-        rows, ideal = _ideal_starts(Ys, p, m, opts)
+        if start is None:
+            rows, second = _ideal_starts(Ys, p, m, opts)
+        else:
+            rows, second = np.arange(solve.size), np.broadcast_to(_phi_to_s(start), (solve.size, p))
         # A lone series' moments go in unstacked: minimize's shared-moment
         # form skips the per-row indexing and solves faster.
         moments = _empirical_moments(Ys, Xs, p, m) if solve.size > 1 else _empirical_moments(Ys[0], Xs[0], p, m)
         S, _, grad_inf[solve], iterations[solve], conv = minimize(
-            moments, m, np.concatenate([_phi_to_s(ols[solve]), ideal]), opts,
+            moments, m, np.concatenate([_phi_to_s(ols[solve]), second]), opts,
             np.concatenate([np.arange(solve.size), rows]),
         )
-        phi[solve] = _pacf_to_ar_with_jac(np.tanh(S))[0]
+        phi[solve] = _pacf_to_ar(np.tanh(S))
         converged[solve] = conv & _step_down(phi[solve])[1]
         restarts[solve] = np.bincount(rows, minlength=solve.size)
     return phi, iterations, restarts, converged, grad_inf
 
 
-def _fit_match_stack(Y, p, m, opts):
+def _fit_match_stack(Y, p, m, opts, start=None):
     """``fit_match(y, p, m, opts)`` for every row y of a stack Y (G, n) of
-    equal-length finite series, n >= p + m, p >= 1, bit for bit: the fit of
-    ``_fit_stack``, then q from the stacked residual kernel, sigma2 (the
-    m = 1 criterion, q itself at m = 1) likewise, and, on the rows that took
-    the closed form, the exact gradient norm from the same m = 1 call."""
+    equal-length finite series, n >= p + m, p >= 1, bit for bit (with a
+    known ``start``, the same fit from that second start instead of the
+    ideal-world one; see ``_fit_stack``): the fit of ``_fit_stack``, then q
+    from the stacked residual kernel, sigma2 (the m = 1 criterion, q itself
+    at m = 1) likewise, and, on the rows that took the closed form, the
+    exact gradient norm from the same m = 1 call."""
     X = lag_matrix(Y, p)
-    phi, iterations, restarts, converged, grad_inf = _fit_stack(Y, X, m, opts)
+    phi, iterations, restarts, converged, grad_inf = _fit_stack(Y, X, m, opts, start)
     q, grad = _q_impl(Y, X, phi, m, want_grad=m == 1)
     sigma2 = q if m == 1 else _q_impl(Y, X, phi, 1, want_grad=False)[0]
     closed = np.isnan(grad_inf)
@@ -369,21 +380,28 @@ def fit_ideal(truth, p, m, opts=None):
     error gamma(0) - 2 phi'gamma_p + phi'Gamma_p phi, whose minimizer is the
     Levinson (Yule-Walker) solution and whose minimum is the recursion's
     last variance v[p], so both come from ``levinson_solve`` and no solver
-    runs.  Past m = 1 the solver starts once, from the Levinson solution,
-    and sigma2 is the m = 1 criterion at its result, which the step-up
-    from |r| < 1 keeps stationary.  ``fit_match`` starts from this fit
-    under the sample autocovariances.
+    runs.  Past m = 1 the solver starts from the Levinson solution, and
+    sigma2 is the m = 1 criterion at its result, which the step-up from
+    |r| < 1 keeps stationary.  Where that start is root-scaled (radius
+    _START_RADIUS or more), the Levinson partial autocorrelations as they
+    are, clamped to |r| <= _R_MAX, are a second start row of the same call:
+    under an AR(p) truth the Levinson solution minimizes the criterion at
+    every m, and near the unit circle the solver can fail to reach it from
+    radius _PROJECT_RADIUS.  ``fit_match`` starts from this fit under
+    the sample autocovariances.
     """
     _check_orders(p, m)
     opts = opts or FitOptions()
     if p == 0:
         return ArParams(np.zeros(0), float(truth.gamma[0])), float(truth.gamma[0])
-    phi0, _, v = levinson_solve(truth, p)
+    phi0, pacf, v = levinson_solve(truth, p)
     if m == 1:
         return ArParams(phi0, v[p]), float(v[p])
-    s, qstar, ginf, _, converged = (
-        x[0] for x in minimize(_population_moments(truth.gamma, p, m), m, _phi_to_s(phi0)[None], opts)
-    )
+    start = _project_stationary(phi0)
+    starts = _r_to_s(_step_down(start[None])[0])
+    if not np.array_equal(start, phi0):  # root-scaled
+        starts = np.concatenate([starts, _r_to_s(pacf)[None]])
+    s, qstar, ginf, _, converged = (x[0] for x in minimize(_population_moments(truth.gamma, p, m), m, starts, opts))
     if not converged and ginf >= 1e-6 * max(truth.gamma[0], qstar):
         raise NoConvergence(f"ideal-world fit did not converge (grad inf-norm {ginf:.3e})")
     phi = pacf_to_ar(np.tanh(s))

@@ -5,7 +5,19 @@ seeds and the output list is indexed by task position.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+
+
+def __getattr__(name):
+    # The worker pool's imports (multiprocessing, socket ...) load on its
+    # first use, not when the package does: ``ProcessPoolExecutor`` is bound
+    # here then, where ``parallel_map`` looks it up.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def parallel_map(fn, items, jobs=1):
@@ -16,5 +28,5 @@ def parallel_map(fn, items, jobs=1):
     if workers <= 1:
         return [fn(it) for it in items]
     chunk = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

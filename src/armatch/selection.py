@@ -13,7 +13,7 @@ import numpy as np
 
 from .acvf import _step_down, ar_acvf
 from .errors import BootstrapFailed, DegenerateFit, SingularDesign, TooShort
-from .estimator import FitOptions, _fit_stack, fit_ideal, fit_match, fit_ols
+from .estimator import FitOptions, _fit_match_stack, _fit_stack, fit_ideal, fit_match, fit_ols
 from .loss import _finite_series, _moments_q, _population_moments, _q_impl, ar_filter, lag_matrix, population_q
 from .seeding import rng_from, stream_integers
 
@@ -106,13 +106,18 @@ def _subsample_length(n, p, m):
 
 def _bootstrap_replicate(args):
     """One replicate's difference on its own (a fresh rng_from(seed, p, b),
-    ``fit_match`` and ``population_q``): the per-replicate reference form
-    of ``_batched_diffs``, which no library code calls."""
+    one refit and ``population_q``): the per-replicate reference form of
+    ``_batched_diffs``, which no library code calls.  The refit is
+    ``fit_match`` at m = 1 or p = 0; past that it is the one-series stacked
+    fit whose second start is the fitted model, as in the batch."""
     model, resid_pool, gamma_hat, n, p, m, seed, b, opts = args
     rng = rng_from(seed, p, b)
     yb, eps = _simulate_fitted(model, resid_pool, n, rng)
     try:
-        fb = fit_match(yb, p, m, opts)
+        if m == 1 or p == 0:
+            fb = fit_match(yb, p, m, opts)
+        else:
+            fb = _fit_match_stack(yb[None], p, m, opts or FitOptions(), start=model.phi)[0]
     except TooShort:  # cannot happen for matching n, defensive only
         return None
     if fb.q_value <= _DEGENERATE_FLOOR:
@@ -137,12 +142,18 @@ def _batched_diffs(tasks):
     Replicate b draws its innovations from the stream of
     rng_from(seed, p, b), as ``_simulate_fitted`` does, but the indices of
     all B streams are drawn in one pass (``stream_integers``).  The B
-    series are filtered together and fitted by ``_fit_stack``, which gives
-    each the model ``fit_match`` gives it.  The in-sample criterion comes
-    from the stacked residual kernel ``_q_impl`` and Q* from the moments of
-    gamma_hat.  A replicate reads None (skipped) where its model fails the
-    step-down (the predicate of ``population_q``), its in-sample criterion
-    is at most _DEGENERATE_FLOOR, or its difference is not finite.
+    series are filtered together and fitted by ``_fit_stack``: at m = 1
+    each gets the model ``fit_match`` gives it.  Past m = 1 the second
+    start of every refit is the fitted model, not an ideal-world solve
+    under the series' sample autocovariances: the bootstrap law is that
+    AR(p) model, and an AR(p) truth's own coefficients minimize the
+    population criterion at every m (its k-step best linear predictor uses
+    its last p values, and the AR recursion reproduces it).  The in-sample
+    criterion comes from the stacked residual kernel ``_q_impl`` and Q*
+    from the moments of gamma_hat.  A replicate reads None (skipped) where
+    its model fails the step-down (the predicate of ``population_q``), its
+    in-sample criterion is at most _DEGENERATE_FLOOR, or its difference is
+    not finite.
     """
     model, pool, gamma_hat, ell, p, m, seed, _, opts = tasks[0]
     burn = _BURNIN_BASE + p
@@ -153,7 +164,7 @@ def _batched_diffs(tasks):
     y = ar_filter(model.phi, eps)[:, burn:]
     X = lag_matrix(y, p)
     if p:
-        phi = _fit_stack(y, X, m, opts or FitOptions())[0]
+        phi = _fit_stack(y, X, m, opts or FitOptions(), start=model.phi if m > 1 else None)[0]
         qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
     else:
         phi, qstar = np.zeros((len(tasks), 0)), gamma_hat.gamma[0]
@@ -216,8 +227,10 @@ def bootstrap_bias(series, p, m, B, seed, opts=None):
     Replicate b uses the derived seed mix(seed, p, b); degenerate
     replicates are skipped, at most 20% of them.  The B replicates run as
     one vectorised batch in this process (``_batched_diffs``): the resample
-    indices drawn in one pass, then one stacked refit.  At p = 0 and m = 1 every replicate difference is
-    log gamma_hat(0), so no series is drawn.
+    indices drawn in one pass, then one stacked refit.  Past m = 1 each
+    refit starts from its series' OLS solution and from the fitted model,
+    which is the bootstrap world's own ideal-world fit.  At p = 0 and m = 1
+    every replicate difference is log gamma_hat(0), so no series is drawn.
     """
     if B < 1:
         raise ValueError("B must be >= 1")

@@ -17,7 +17,7 @@ from armatch import (
     levinson_solve,
     pacf_to_ar,
 )
-from armatch.acvf import _durbin, _step_down
+from armatch.acvf import _durbin, _pacf_to_ar, _pacf_to_ar_with_jac, _step_down
 from armatch.companion import ar_spectral_radii
 
 
@@ -344,8 +344,8 @@ class TestDurbin:
 
 
 def test_step_up_equals_the_plain_loop_bit_for_bit():
-    # pacf_to_ar is row 0 of the step-up with Jacobian; it must give the
-    # bits of the plain step-up loop.
+    # pacf_to_ar is the coefficient-only step-up; it must give the bits of
+    # the plain step-up loop.
     rng = np.random.default_rng(85)
     for _ in range(2000):
         r = rng.uniform(-0.999, 0.999, int(rng.integers(0, 13)))
@@ -357,6 +357,17 @@ def test_step_up_equals_the_plain_loop_bit_for_bit():
             new[j - 1] = r[j - 1]
             a = new
         assert pacf_to_ar(r).tobytes() == a.tobytes()
+
+
+def test_coefficient_step_up_is_row_zero_of_the_jacobian_step_up():
+    # The solver's Newton terms take phi from the step-up with Jacobian and
+    # the fits' post-solve map from the coefficient-only one: both must
+    # give the same bits, for one vector or a stack.
+    rng = np.random.default_rng(86)
+    for i in range(300):
+        p = int(rng.integers(0, 13))
+        r = rng.uniform(-0.999, 0.999, (int(rng.integers(1, 9)), p) if i % 2 else p)
+        assert _pacf_to_ar(r).tobytes() == _pacf_to_ar_with_jac(r)[0].tobytes()
 
 
 def _step_down_loop(phi):

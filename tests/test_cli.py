@@ -436,6 +436,18 @@ def test_import_loads_no_numpy_module_beyond_numpy_itself():
     assert loaded["armatch.cli"] <= loaded["numpy"], sorted(loaded["armatch.cli"] - loaded["numpy"])
 
 
+def test_import_leaves_the_worker_pool_unloaded():
+    # The pool's modules (multiprocessing, socket ...) cost start-up time
+    # and load only when a command starts workers.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, armatch.cli; print('concurrent.futures.process' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 RUNTIME_SCRIPT = """\
 import sys
 import armatch, armatch.cli as cli

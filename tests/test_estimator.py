@@ -489,6 +489,30 @@ def test_stacked_fit_is_fit_match_and_m1_gives_ols(kinds, seed, n, p, m):
             assert repr(fit.grad_norm) == repr(float(np.max(np.abs(empirical_q_gradient(y, ols, 1)))))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kinds=st.permutations(["arma", "tar", "alternating", "walk", "zero", "arma", "tar"]),
+    seed=st.integers(0, 2**32 - 8),
+    n=st.integers(13, 200),
+    p=st.integers(1, 8),
+    m=st.integers(2, 6),
+    radius=st.floats(0.0, 0.999),
+)
+def test_stacked_fit_from_a_known_start_is_row_by_row(kinds, seed, n, p, m, radius):
+    # With a known second start (a stationary AR vector, root-scaled where
+    # its radius is 0.99 or more) every row of a mixed stack gets its
+    # one-series fit from that start, bit for bit, and every row runs it.
+    assume(n >= p + m)
+    Y = np.array([_mixed_series(kind, n, seed + i) for i, kind in enumerate(kinds)])
+    start = pacf_to_ar(np.random.default_rng(seed).uniform(-radius, radius, p))
+    full = estimator._fit_stack(Y, lag_matrix(Y, p), m, FitOptions(), start=start)
+    assert full[2].tolist() == [1] * len(Y)
+    for g, y in enumerate(Y):
+        one = estimator._fit_stack(y[None], lag_matrix(y[None], p), m, FitOptions(), start=start)
+        for a, b in zip(full, one):  # phi, iterations, restarts, converged, grad_inf
+            assert a[g:g + 1].tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [None, 60, 400])
 def test_stacked_ols_starts_equal_per_series_path(monkeypatch, p, n):
@@ -739,3 +763,29 @@ class TestFitIdeal:
         truth = arma_acvf(ArmaSpec([0.5], [], 1.0), 6)
         with pytest.raises(ValueError, match="must be >= "):
             fit_ideal(truth, p, m)
+
+    @pytest.mark.parametrize("m", [2, 5, 10, 16, 20])
+    def test_ar_truth_near_the_unit_circle(self, m):
+        # Every |PACF| <= 0.89, yet the spectral radius is 0.99998: the
+        # Levinson start is the minimizer, and root-scaled to radius 0.98 it
+        # is too far for the solver to return from (NoConvergence).  The
+        # unscaled Levinson row reaches the truth.
+        phi = pacf_to_ar([0.343, 0.355, -0.89, -0.83, -0.632, -0.515, -0.534, -0.812])
+        assert ar_spectral_radii(phi[None])[0] > 0.9999
+        model, _ = fit_ideal(ar_acvf(ArParams(phi, 1.0), 8 + m), 8, m)
+        np.testing.assert_allclose(model.phi, phi, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pacf=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=10),
+    m=st.integers(2, 20),
+    sigma2=st.floats(0.1, 10.0),
+)
+def test_fit_ideal_returns_an_ar_truth(pacf, m, sigma2):
+    # Under an AR(p) truth the k-step best linear predictor uses the last p
+    # values and the AR recursion reproduces it, so the truth's own
+    # coefficients minimize the population criterion at every m.
+    phi = pacf_to_ar(pacf)
+    model, _ = fit_ideal(ar_acvf(ArParams(phi, sigma2), len(pacf) + m), len(pacf), m)
+    np.testing.assert_allclose(model.phi, phi, rtol=0, atol=1e-6)

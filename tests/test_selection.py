@@ -21,7 +21,9 @@ from armatch import (
     simulate_tar,
 )
 from armatch import estimator, parallel, selection
+from armatch.estimator import FitOptions
 from armatch.acvf import ArParams
+from armatch.loss import lag_matrix
 from armatch.seeding import mix_seed, rng_from, stream_integers
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
@@ -303,18 +305,20 @@ class TestMultistepBatch:
         # fits stop within the solver's tolerance of the same minimum.
         np.testing.assert_allclose(*zip(*kept), rtol=0, atol=1e-7)
 
-    def test_fits_are_fit_match_on_the_batch_series(self, monkeypatch):
-        # Every replicate's fit is the one fit_match gives its series, bit
-        # for bit, including a replicate whose OLS design fails the Gram
-        # check: it starts from zeros inside the batch, as fit_match does.
+    def test_fits_are_the_one_series_fit_on_the_batch_series(self, monkeypatch):
+        # Every replicate's fit is the one-series stacked fit of its series
+        # from the same two starts, its OLS solution and the fitted model,
+        # bit for bit, including a replicate whose OLS design fails the Gram
+        # check: it starts from zeros inside the batch, as it does alone.
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
         tasks = _order_tasks(y, 2, 3, 10, seed=3)
+        fitted = tasks[0][0].phi
         stacks = []
         real_stack = selection._fit_stack
 
-        def recording(Y, *args):
-            stacks.append((Y.copy(), real_stack(Y, *args)))
-            return stacks[-1][1]
+        def recording(Y, *args, **kwargs):
+            stacks.append((Y.copy(), kwargs["start"], real_stack(Y, *args, **kwargs)))
+            return stacks[-1][2]
 
         monkeypatch.setattr(selection, "_fit_stack", recording)
         selection._batched_diffs(tasks)
@@ -334,14 +338,34 @@ class TestMultistepBatch:
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
         assert redone == [] and np.all(np.isfinite(batched))
-        Y, (phi, iterations, restarts, converged, grad_inf) = stacks[1]
+        Y, start, (phi, iterations, restarts, converged, grad_inf) = stacks[1]
+        assert start is fitted
         for b, y_b in enumerate(Y):
-            fit = fit_match(y_b, 2, 3)
-            assert phi[b].tobytes() == fit.model.phi.tobytes()
-            assert (iterations[b], restarts[b], converged[b]) == (fit.iterations, fit.restarts, fit.converged)
-            assert repr(float(grad_inf[b])) == repr(fit.grad_norm)
-        assert failed == [1] + [0] * 6 + [1] + [0] * 3  # the batch, then fit_match on rows 0..9
-        assert phi[6].tobytes() != stacks[0][1][0][6].tobytes()
+            one = estimator._fit_stack(y_b[None], lag_matrix(y_b[None], 2), 3, FitOptions(), start=start)
+            assert phi[b].tobytes() == one[0][0].tobytes()
+            assert (iterations[b], restarts[b], converged[b]) == (one[1][0], one[2][0], one[3][0])
+            assert repr(float(grad_inf[b])) == repr(float(one[4][0]))
+        assert restarts.tolist() == [1] * 10  # every replicate gets the known start
+        assert failed == [1] + [0] * 6 + [1] + [0] * 3  # the batch, then the one-series fits of rows 0..9
+        assert phi[6].tobytes() != stacks[0][2][0][6].tobytes()
+
+    def test_known_start_replaces_the_ideal_world_solve(self, monkeypatch):
+        # Past m = 1 the bootstrap world is known (the fitted AR model), so
+        # no replicate runs _ideal_starts, and each order's refits are one
+        # minimize call.
+        y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
+        tasks = _order_tasks(y, 3, 5, 12, seed=3)
+        want = selection._batched_diffs(tasks)
+
+        def no_ideal_starts(*args):
+            raise AssertionError("_ideal_starts ran")
+
+        calls = []
+        real_minimize = estimator.minimize
+        monkeypatch.setattr(estimator, "_ideal_starts", no_ideal_starts)
+        monkeypatch.setattr(estimator, "minimize", lambda *a: calls.append(a[2].shape) or real_minimize(*a))
+        assert selection._batched_diffs(tasks) == want
+        assert calls == [(24, 3)]  # the OLS and the known start of all 12 replicates
 
     def test_projected_start_stays_in_batch(self, monkeypatch):
         # Near a unit root many bootstrap OLS starts have radius 0.99 or
