@@ -23,7 +23,7 @@ from .errors import (
     SingularToeplitz,
     TooShort,
 )
-from .estimator import FitOptions, FitResult, fit_ideal, fit_match, fit_ols
+from .estimator import FitResult, fit_ideal, fit_match, fit_ols
 from .loss import empirical_q, empirical_q_gradient, population_q
 from .predictor import PredictorCoeffs, predictor_from_acvf, predictor_from_model
 from .seeding import mix_seed, rng_from

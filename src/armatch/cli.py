@@ -201,9 +201,12 @@ def _required_int(section, key):
 
 
 def _plan_from_config(path):
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ArMatchError(f"cannot read config file {path}")
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        if not cp.read(path):
+            raise ArMatchError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise UsageError(f"config file {path}: {exc.message}")
     try:
         truth_sec = cp["truth"]
         run_sec = cp["run"]
@@ -233,11 +236,13 @@ def _plan_from_config(path):
         parts = value.split()
         if not parts or parts[0] not in ("match", "ols"):
             raise UsageError(f"estimator {name!r}: expected 'match p=P m=M' or 'ols p=P'")
+        keys = ("p", "m") if parts[0] == "match" else ("p",)
         kv = {}
         for tok in parts[1:]:
             k, eq, v = tok.partition("=")
-            if not eq or k not in ("p", "m"):
-                raise UsageError(f"estimator {name!r}: bad token {tok!r} (expected p=P or m=M)")
+            if not eq or k not in keys or k in kv:
+                expected = " ".join(f"{key}={key.upper()}" for key in keys)
+                raise UsageError(f"estimator {name!r}: bad token {tok!r} (expected {expected}, each once)")
             kv[k] = int(v)
         estimators.append(
             EstimatorSpec(name=name, kind=parts[0], p=kv.get("p", 1), m=kv.get("m", 1))

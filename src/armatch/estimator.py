@@ -29,7 +29,7 @@ from .loss import (
     lag_matrix,
 )
 
-__all__ = ["FitOptions", "FitResult", "fit_ols", "fit_match", "fit_ideal"]
+__all__ = ["FitResult", "fit_ols", "fit_match", "fit_ideal"]
 
 # Clamp on |r| when mapping into arctanh coordinates.
 _R_MAX = 1.0 - 1e-10
@@ -45,13 +45,9 @@ _PROJECT_RADIUS = 0.98
 # Forward-difference step in s of the Newton Hessian.
 _H_STEP = 1e-6
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Solver knobs for :func:`fit_match` and :func:`fit_ideal`."""
-
-    max_iter: int = 500
-    grad_tol: float = 1e-8
+# ``minimize``'s step cap and gradient tolerance (its stop rule).
+_MAX_ITER = 500
+_GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def _newton_terms(moments, m, S):
     return q.reshape(N, p + 1)[:, 0], g[:, 0], 0.5 * (H + H.swapaxes(1, 2))
 
 
-def minimize(moments, m, starts, opts, groups=None):
+def minimize(moments, m, starts, groups=None):
     """Damped Newton on the moment-form criterion from each row of
     ``starts`` (R, p), in the coordinates s -> r = tanh(s) -> phi.
 
@@ -177,9 +173,9 @@ def minimize(moments, m, starts, opts, groups=None):
     H is indefinite).  A trial that does not raise q is accepted and lam
     shrinks tenfold, to no less than 1e-12; otherwise lam, which starts at
     1e-3, grows a hundredfold.  A row stops when
-    grad_inf < grad_tol * max(1, q) (converged), when an accepted step
+    grad_inf < _GRAD_TOL * max(1, q) (converged), when an accepted step
     changes q by at most 4e-16 |q| or a step is below 1e-12 relative (the
-    rounding floor of q), or after ``opts.max_iter`` steps.
+    rounding floor of q), or after _MAX_ITER steps.
 
     Returns, per group, arrays (s, q, grad_inf, iterations, converged) of
     its row with the least q, preferring a converged row among those within
@@ -201,11 +197,11 @@ def minimize(moments, m, starts, opts, groups=None):
     S = np.clip(starts, -_S_MAX, _S_MAX)
     q, g, H = terms(np.arange(R), S)
     ginf = np.maximum.reduce(np.abs(g), axis=1)
-    converged = ginf < opts.grad_tol * np.maximum(1.0, q)
+    converged = ginf < _GRAD_TOL * np.maximum(1.0, q)
     running = ~converged
     lam = np.full(R, 1e-3)
     iters = np.zeros(R, dtype=int)
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         act = np.flatnonzero(running)
         if act.size == 0:
             break
@@ -220,7 +216,7 @@ def minimize(moments, m, starts, opts, groups=None):
         acc = act[ok]
         S[acc], q[acc], g[acc], H[acc] = trial[ok], qt[ok], gt[ok], Ht[ok]
         ginf[acc] = np.maximum.reduce(np.abs(gt[ok]), axis=1)
-        converged[acc] = ginf[acc] < opts.grad_tol * np.maximum(1.0, q[acc])
+        converged[acc] = ginf[acc] < _GRAD_TOL * np.maximum(1.0, q[acc])
         lam[act] = np.where(ok, np.maximum(lam[act] / 10.0, 1e-12), lam[act] * 100.0)
         big = np.maximum(1.0, np.maximum.reduce(np.abs(S[act]), axis=1))
         floor |= np.maximum.reduce(np.abs(step), axis=1) <= 1e-12 * big
@@ -257,7 +253,7 @@ def _stacked_ols(Y, X):
     return phi, ok
 
 
-def _ideal_starts(Y, p, m, opts):
+def _ideal_starts(Y, p, m):
     """(rows, S): for each series y of a stack Y (G, n), n >= p + m, the s
     of ``fit_ideal`` under its uncentered biased sample autocovariances
     gamma_k = (1/n) sum_t y_t y_{t+k}, k < p + m (at m = 1 the projected
@@ -276,11 +272,11 @@ def _ideal_starts(Y, p, m, opts):
     S = _phi_to_s(np.array([levinson[i][0] for i in rows]))
     if m > 1:  # one series' moments go in unstacked, as in _fit_stack
         moments = _population_moments(gamma[rows] if rows.size > 1 else gamma[rows[0]], p, m)
-        S = minimize(moments, m, S, opts, np.arange(rows.size))[0]
+        S = minimize(moments, m, S, np.arange(rows.size))[0]
     return rows, S
 
 
-def _fit_stack(Y, X, m, opts, start=None):
+def _fit_stack(Y, X, m, start=None):
     """The one place that chooses how ``fit_match`` fits a series, for
     every row of a stack Y (G, n) of equal-length finite series with lag
     matrices X = lag_matrix(Y, p), n >= p + m, p >= 1: arrays phi (G, p),
@@ -308,14 +304,14 @@ def _fit_stack(Y, X, m, opts, start=None):
     if solve.size:
         Ys, Xs = Y[solve], X[solve]
         if start is None:
-            rows, second = _ideal_starts(Ys, p, m, opts)
+            rows, second = _ideal_starts(Ys, p, m)
         else:
             rows, second = np.arange(solve.size), np.broadcast_to(_phi_to_s(start), (solve.size, p))
         # A lone series' moments go in unstacked: minimize's shared-moment
         # form skips the per-row indexing and solves faster.
         moments = _empirical_moments(Ys, Xs, p, m) if solve.size > 1 else _empirical_moments(Ys[0], Xs[0], p, m)
         S, _, grad_inf[solve], iterations[solve], conv = minimize(
-            moments, m, np.concatenate([_phi_to_s(ols[solve]), second]), opts,
+            moments, m, np.concatenate([_phi_to_s(ols[solve]), second]),
             np.concatenate([np.arange(solve.size), rows]),
         )
         phi[solve] = _pacf_to_ar(np.tanh(S))
@@ -324,8 +320,8 @@ def _fit_stack(Y, X, m, opts, start=None):
     return phi, iterations, restarts, converged, grad_inf
 
 
-def _fit_match_stack(Y, p, m, opts, start=None):
-    """``fit_match(y, p, m, opts)`` for every row y of a stack Y (G, n) of
+def _fit_match_stack(Y, p, m, start=None):
+    """``fit_match(y, p, m)`` for every row y of a stack Y (G, n) of
     equal-length finite series, n >= p + m, p >= 1, bit for bit (with a
     known ``start``, the same fit from that second start instead of the
     ideal-world one; see ``_fit_stack``): the fit of ``_fit_stack``, then q
@@ -333,7 +329,7 @@ def _fit_match_stack(Y, p, m, opts, start=None):
     at m = 1) likewise, and, on the rows that took the closed form, the
     exact gradient norm from the same m = 1 call."""
     X = lag_matrix(Y, p)
-    phi, iterations, restarts, converged, grad_inf = _fit_stack(Y, X, m, opts, start)
+    phi, iterations, restarts, converged, grad_inf = _fit_stack(Y, X, m, start)
     q, grad = _q_impl(Y, X, phi, m, want_grad=m == 1)
     sigma2 = q if m == 1 else _q_impl(Y, X, phi, 1, want_grad=False)[0]
     closed = np.isnan(grad_inf)
@@ -346,7 +342,7 @@ def _fit_match_stack(Y, p, m, opts, start=None):
     ]
 
 
-def fit_match(series, p, m, opts=None):
+def fit_match(series, p, m):
     """Minimize the up-to-m-step prediction criterion over stationary AR(p).
 
     At m = 1 a stationary OLS solution is the exact minimizer and is
@@ -369,10 +365,10 @@ def fit_match(series, p, m, opts=None):
     if p == 0:
         model = ArParams(np.zeros(0), float(y @ y) / n)
         return FitResult(model, empirical_q(y, model, m), m, 0)
-    return _fit_match_stack(y[None], p, m, opts or FitOptions())[0]
+    return _fit_match_stack(y[None], p, m)[0]
 
 
-def fit_ideal(truth, p, m, opts=None):
+def fit_ideal(truth, p, m):
     """Minimize the population criterion under a known truth.
 
     Returns ``(model, q_star)`` where model.sigma2 is the attained one-step
@@ -387,11 +383,12 @@ def fit_ideal(truth, p, m, opts=None):
     are, clamped to |r| <= _R_MAX, are a second start row of the same call:
     under an AR(p) truth the Levinson solution minimizes the criterion at
     every m, and near the unit circle the solver can fail to reach it from
-    radius _PROJECT_RADIUS.  ``fit_match`` starts from this fit under
-    the sample autocovariances.
+    radius _PROJECT_RADIUS.  ``fit_match``'s second start (``_ideal_starts``)
+    is this fit under the sample autocovariances with one difference: its
+    solve runs from the projected Levinson start alone, never from a second
+    row of unscaled partial autocorrelations.
     """
     _check_orders(p, m)
-    opts = opts or FitOptions()
     if p == 0:
         return ArParams(np.zeros(0), float(truth.gamma[0])), float(truth.gamma[0])
     phi0, pacf, v = levinson_solve(truth, p)
@@ -401,7 +398,7 @@ def fit_ideal(truth, p, m, opts=None):
     starts = _r_to_s(_step_down(start[None])[0])
     if not np.array_equal(start, phi0):  # root-scaled
         starts = np.concatenate([starts, _r_to_s(pacf)[None]])
-    s, qstar, ginf, _, converged = (x[0] for x in minimize(_population_moments(truth.gamma, p, m), m, starts, opts))
+    s, qstar, ginf, _, converged = (x[0] for x in minimize(_population_moments(truth.gamma, p, m), m, starts))
     if not converged and ginf >= 1e-6 * max(truth.gamma[0], qstar):
         raise NoConvergence(f"ideal-world fit did not converge (grad inf-norm {ginf:.3e})")
     phi = pacf_to_ar(np.tanh(s))

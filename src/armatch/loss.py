@@ -53,13 +53,10 @@ def _finite_series(series):
 
 
 def _check_length(n, p, m):
-    # Shortest horizon-m sum needs n - m - p + 1 >= 1 (for p = 0: n - m + 1).
-    min_n = m + p if p >= 1 else m
-    if n < max(min_n, 2):
-        raise TooShort(
-            f"series of length {n} too short for p={p}, m={m} (need n >= {min_n})",
-            min_n=max(min_n, 2),
-        )
+    # Shortest horizon-m sum needs n - m - p + 1 >= 1, and a fit two values.
+    min_n = max(m + p, 2)
+    if n < min_n:
+        raise TooShort(f"series of length {n} too short for p={p}, m={m} (need n >= {min_n})", min_n=min_n)
 
 
 def _predictors(phi, m):

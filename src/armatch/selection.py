@@ -13,7 +13,7 @@ import numpy as np
 
 from .acvf import _step_down, ar_acvf
 from .errors import BootstrapFailed, DegenerateFit, SingularDesign, TooShort
-from .estimator import FitOptions, _fit_match_stack, _fit_stack, fit_ideal, fit_match, fit_ols
+from .estimator import _fit_match_stack, _fit_stack, fit_ideal, fit_match, fit_ols
 from .loss import _finite_series, _moments_q, _population_moments, _q_impl, ar_filter, lag_matrix, population_q
 from .seeding import rng_from, stream_integers
 
@@ -54,29 +54,29 @@ class SelectionResult:
     tie_break: str = "ties broken toward the smaller order"
 
 
-def log_loss(series, p, m, opts=None):
+def log_loss(series, p, m):
     """log of the fitted criterion, together with the fit itself."""
-    fit = fit_match(series, p, m, opts)
+    fit = fit_match(series, p, m)
     if fit.q_value <= _DEGENERATE_FLOOR:
         raise DegenerateFit(f"fitted criterion {fit.q_value} at p={p} is degenerate")
     return math.log(fit.q_value), fit
 
 
-def ideal_log_loss(truth, p, m, opts=None):
+def ideal_log_loss(truth, p, m):
     """log of the population criterion at its ideal-world minimizer."""
-    _, qstar = fit_ideal(truth, p, m, opts)
+    _, qstar = fit_ideal(truth, p, m)
     return math.log(qstar)
 
 
-def approx_decrease(truth, p, m, opts=None):
+def approx_decrease(truth, p, m):
     """One step of the log-loss decrease and its relative-decrease proxy.
 
     Returns (lhs, rhs) with lhs = Lstar(p) - Lstar(p+1) and
     rhs = (Qstar_p - Qstar_{p+1}) / Qstar_{p+1}; the two agree when the
     population criterion varies slowly in p.
     """
-    _, q_p = fit_ideal(truth, p, m, opts)
-    _, q_p1 = fit_ideal(truth, p + 1, m, opts)
+    _, q_p = fit_ideal(truth, p, m)
+    _, q_p1 = fit_ideal(truth, p + 1, m)
     lhs = math.log(q_p) - math.log(q_p1)
     rhs = (q_p - q_p1) / q_p1
     return lhs, rhs
@@ -110,14 +110,14 @@ def _bootstrap_replicate(args):
     ``_batched_diffs``, which no library code calls.  The refit is
     ``fit_match`` at m = 1 or p = 0; past that it is the one-series stacked
     fit whose second start is the fitted model, as in the batch."""
-    model, resid_pool, gamma_hat, n, p, m, seed, b, opts = args
+    model, resid_pool, gamma_hat, n, p, m, seed, b = args
     rng = rng_from(seed, p, b)
     yb, eps = _simulate_fitted(model, resid_pool, n, rng)
     try:
         if m == 1 or p == 0:
-            fb = fit_match(yb, p, m, opts)
+            fb = fit_match(yb, p, m)
         else:
-            fb = _fit_match_stack(yb[None], p, m, opts or FitOptions(), start=model.phi)[0]
+            fb = _fit_match_stack(yb[None], p, m, start=model.phi)[0]
     except TooShort:  # cannot happen for matching n, defensive only
         return None
     if fb.q_value <= _DEGENERATE_FLOOR:
@@ -155,7 +155,7 @@ def _batched_diffs(tasks):
     in-sample criterion is at most _DEGENERATE_FLOOR, or its difference is
     not finite.
     """
-    model, pool, gamma_hat, ell, p, m, seed, _, opts = tasks[0]
+    model, pool, gamma_hat, ell, p, m, seed, _ = tasks[0]
     burn = _BURNIN_BASE + p
     # Row b holds the indices _simulate_fitted's rng.choice draws.
     eps = pool[stream_integers(seed, p, [task[7] for task in tasks], pool.shape[0], ell + burn)]
@@ -164,7 +164,7 @@ def _batched_diffs(tasks):
     y = ar_filter(model.phi, eps)[:, burn:]
     X = lag_matrix(y, p)
     if p:
-        phi = _fit_stack(y, X, m, opts or FitOptions(), start=model.phi if m > 1 else None)[0]
+        phi = _fit_stack(y, X, m, start=model.phi if m > 1 else None)[0]
         qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
     else:
         phi, qstar = np.zeros((len(tasks), 0)), gamma_hat.gamma[0]
@@ -183,7 +183,7 @@ def _control_variate_mean(resid_pool, n):
     return math.log(mu) - var / (2.0 * n * mu * mu)
 
 
-def _bootstrap_tasks(y, fit, m, B, seed, opts):
+def _bootstrap_tasks(y, fit, m, B, seed):
     """The replicate tasks b = 1..B of a fitted order (see
     ``_bootstrap_replicate``)."""
     p = fit.order
@@ -193,7 +193,7 @@ def _bootstrap_tasks(y, fit, m, B, seed, opts):
         raise DegenerateFit("residuals are identically zero; cannot bootstrap")
     gamma_hat = ar_acvf(fit.model, p + m)
     ell = _subsample_length(y.shape[0], p, m)
-    return [(fit.model, resid, gamma_hat, ell, p, m, seed, b, opts) for b in range(1, B + 1)]
+    return [(fit.model, resid, gamma_hat, ell, p, m, seed, b) for b in range(1, B + 1)]
 
 
 def _penalty(tasks):
@@ -215,7 +215,7 @@ def _penalty(tasks):
     return bias, used.shape[0], se
 
 
-def bootstrap_bias(series, p, m, B, seed, opts=None):
+def bootstrap_bias(series, p, m, B, seed):
     """Parametric residual-bootstrap estimate of the log-loss optimism.
 
     Fit the order-p model, resample its centered one-step residuals to
@@ -235,7 +235,7 @@ def bootstrap_bias(series, p, m, B, seed, opts=None):
     if B < 1:
         raise ValueError("B must be >= 1")
     y = _finite_series(series)
-    return _penalty(_bootstrap_tasks(y, fit_match(y, p, m, opts), m, B, seed, opts))[0]
+    return _penalty(_bootstrap_tasks(y, fit_match(y, p, m), m, B, seed))[0]
 
 
 def _max_feasible_order(n, m):
@@ -244,7 +244,7 @@ def _max_feasible_order(n, m):
     return max(feasible, -1)
 
 
-def select_order(series, p_max, m, B, seed, opts=None):
+def select_order(series, p_max, m, B, seed):
     """Choose the AR order minimizing L(p) + bootstrap optimism penalty.
 
     Every order is fitted once, and that fit also seeds its bootstrap; then
@@ -265,9 +265,9 @@ def select_order(series, p_max, m, B, seed, opts=None):
         )
     fits, task_lists = [], []
     for p in range(p_max + 1):
-        L, fit = log_loss(y, p, m, opts)
+        L, fit = log_loss(y, p, m)
         fits.append((L, fit))
-        task_lists.append(_bootstrap_tasks(y, fit, m, B, seed, opts))
+        task_lists.append(_bootstrap_tasks(y, fit, m, B, seed))
     rows = []
     for (L, fit), tasks in zip(fits, task_lists):
         bias, used, se = _penalty(tasks)

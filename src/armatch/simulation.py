@@ -22,7 +22,7 @@ import numpy as np
 
 from .acvf import ArmaSpec, _step_down, arma_acvf
 from .errors import ArMatchError, NonStationary
-from .estimator import FitOptions, _fit_match_stack, fit_match, fit_ols
+from .estimator import _fit_match_stack, fit_match, fit_ols
 from .loss import _check_length, _finite_series, ar_filter, empirical_q, population_q
 from .parallel import parallel_map
 from .seeding import mix_seed, rng_from
@@ -405,7 +405,7 @@ def _run_block(args):
         for p, m in orders:
             try:
                 _check_length(plan.n, p, m)
-                batch = _fit_match_stack(_finite_series(Y), p, m, FitOptions())
+                batch = _fit_match_stack(_finite_series(Y), p, m)
             except (ArMatchError, ValueError, np.linalg.LinAlgError):
                 continue
             for r, fit in zip(series, batch):

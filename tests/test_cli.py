@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import armatch
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from armatch import ArmaSpec, simulate_arma
 from armatch.cli import build_parser, main, read_series
@@ -378,14 +383,21 @@ class TestExperiment:
         assert err.startswith(f"error: config missing required key {section} {key}\n")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("token", ["M=5", "q=7"])
-    def test_unknown_estimator_token_exit_2_without_traceback(self, tmp_path, capsys, token):
+    @pytest.mark.parametrize("value, message", [
+        pytest.param("match p=1 M=5", "bad token 'M=5'", id="M=5"),
+        pytest.param("match p=1 q=7", "bad token 'q=7'", id="q=7"),
+        # ols takes p alone, and once.
+        pytest.param("ols p=2 m=3", "bad token 'm=3' (expected p=P, each once)", id="ols-m"),
+        pytest.param("ols p=1 p=2", "bad token 'p=2' (expected p=P, each once)", id="ols-p-twice"),
+        pytest.param("match p=1 m=3 m=2", "bad token 'm=2' (expected p=P m=M, each once)", id="match-m-twice"),
+    ])
+    def test_unknown_estimator_token_exit_2_without_traceback(self, tmp_path, capsys, value, message):
         cfg = tmp_path / "plan.ini"
-        cfg.write_text(EXPERIMENT_CONFIG.replace("multi_step = match p=1 m=3", f"multi_step = match p=1 {token}"))
+        cfg.write_text(EXPERIMENT_CONFIG.replace("multi_step = match p=1 m=3", f"multi_step = {value}"))
         code = main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: estimator 'multi_step': bad token {token!r}")
+        assert err.startswith(f"error: estimator 'multi_step': {message}")
         assert "Traceback" not in err
 
     def test_diverging_tar_truth_exit_1_without_traceback(self, tmp_path, capsys):
@@ -475,3 +487,149 @@ def test_runtime_path_imports_no_scipy(tmp_path):
         capture_output=True, text=True, timeout=300, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# The argv fuzz: argv for every command, with small series files and config
+# texts.  Sizes stay small (n <= 200, --bootstrap <= 5, --max-order <= 4,
+# --steps <= 5, 3 replicates) so that each example runs in milliseconds.
+_JUNK = st.sampled_from(["", "x", "0", "-1", "1.5", "nan", "-inf", "%", "1,,2", "p", "=1", "q=1"])
+
+
+def _rarely(draw, k):
+    """True 1 time in k; shrinks to False."""
+    return draw(st.integers(1, k)) == k
+
+
+def _mostly(values):
+    """A value of ``values``, or 1 time in 20 a junk text."""
+    return st.integers(1, 20).flatmap(lambda k: _JUNK if k == 20 else values)
+
+
+def _int_text(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str))
+
+
+_FLOAT_TEXT = _mostly(st.floats(-10.0, 10.0).map(repr))
+_POSITIVE_TEXT = _mostly(st.floats(0.01, 10.0).map(repr))
+_COEFFS_TEXT = _mostly(st.lists(st.floats(-1.5, 1.5), max_size=3).map(lambda v: ",".join(map(repr, v))))
+
+
+def _series(kind, n, seed):
+    if kind == "arma":
+        return simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, seed)
+    if kind == "noise":
+        return np.random.default_rng(seed).standard_normal(n) * 10.0 ** (seed % 13 - 6)
+    return {"zero": np.zeros(n), "trend": np.arange(n, dtype=float), "alternating": (-1.0) ** np.arange(n),
+            "walk": np.cumsum(np.random.default_rng(seed).standard_normal(n))}[kind]
+
+
+_SERIES_TEXT = st.one_of(
+    st.builds(
+        lambda kind, n, seed: "".join(f"{float(v)!r}\n" for v in _series(kind, n, seed)),
+        st.sampled_from(["arma", "noise", "zero", "trend", "alternating", "walk"]), st.integers(1, 200),
+        st.integers(0, 2**16),
+    ),
+    st.lists(_mostly(st.floats(-1e6, 1e6).map(repr)), max_size=30).map(lambda lines: "\n".join(["value", *lines])),
+)
+
+
+@st.composite
+def _command_argv(draw, command, required, optional):
+    """[command, flags...]: each required flag (1 in 20 left out) and any
+    subset of the optional ones, as "--flag value" or "--flag=value" (the
+    form a value such as "-0.5,0.3" needs); a value strategy of None is a
+    switch."""
+    argv = [command]
+    flags = [(flag, values) for flag, values in required if not _rarely(draw, 20)]
+    for flag, values in flags + [pair for pair in optional if draw(st.booleans())]:
+        if values is None:
+            argv.append(flag)
+        else:
+            value = draw(values)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def _lines(draw, pairs):
+    """One "key = value" line per pair, 1 in 20 left out."""
+    return "".join(f"{key} = {draw(values)}\n" for key, values in pairs if not _rarely(draw, 20))
+
+
+@st.composite
+def _config_text(draw):
+    model = draw(_mostly(st.sampled_from(["arma", "tar"])))
+    truth = {
+        "arma": [("ar", _COEFFS_TEXT), ("ma", _COEFFS_TEXT), ("sigma2", _POSITIVE_TEXT)],
+        "tar": [("phi_low", _COEFFS_TEXT), ("phi_high", _COEFFS_TEXT), ("threshold", _FLOAT_TEXT),
+                ("delay", _int_text(1, 4)), ("sigma2", _POSITIVE_TEXT)],
+    }.get(model, [])
+    text = f"[truth]\nmodel = {model}\n" + _lines(draw, truth)
+    if not _rarely(draw, 10):
+        text += "[run]\n" + _lines(draw, [
+            ("n", _int_text(2, 200)), ("replicates", _int_text(1, 3)), ("base_seed", _int_text(0, 9)),
+            ("horizons", _mostly(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+                lambda h: ",".join(map(str, h))))),
+            ("innovations", _mostly(st.sampled_from(["gaussian", "t"]))), ("t_df", _POSITIVE_TEXT),
+        ])
+    if not _rarely(draw, 10):
+        token = _mostly(st.builds("{}={}".format, st.sampled_from(["p", "m"]), _int_text(1, 5)))
+        spec = st.builds(lambda kind, tokens: " ".join([kind, *tokens]),
+                         _mostly(st.sampled_from(["match", "ols"])), st.lists(token, max_size=3))
+        specs = draw(st.lists(spec, min_size=0 if _rarely(draw, 10) else 1, max_size=3))
+        # Distinct names, except 1 time in 10 a repeated one.
+        names = [f"e{i}" for i in range(len(specs))]
+        if len(specs) > 1 and _rarely(draw, 10):
+            names[-1] = names[0]
+        text += "[estimators]\n" + "".join(f"{name} = {value}\n" for name, value in zip(names, specs))
+    if draw(st.booleans()):
+        text += "[selection]\n" + _lines(draw, [("p_max", _int_text(0, 4)), ("m", _int_text(1, 5)),
+                                                 ("b", _int_text(1, 5))])
+    return text
+
+
+_OUTPUT = [("--output", st.just("{dir}/out")), ("--format", st.sampled_from(["json", "csv"]))]
+_ARGV = st.one_of(
+    _command_argv(
+        "fit", [("--input", st.just("{dir}/y.txt")), ("--order", _int_text(0, 4)), ("--steps", _int_text(1, 5))],
+        [("--center", None), *_OUTPUT],
+    ),
+    _command_argv(
+        "select",
+        [("--input", st.just("{dir}/y.txt")), ("--max-order", _int_text(0, 4)), ("--steps", _int_text(1, 5)),
+         ("--bootstrap", _int_text(1, 5)), ("--seed", _int_text(0, 9))],
+        [("--center", None), ("--jobs", _int_text(1, 2)), *_OUTPUT],
+    ),
+    _command_argv(
+        "simulate",
+        [("--model", _mostly(st.sampled_from(["arma", "tar"]))), ("--n", _int_text(1, 200)),
+         ("--seed", _int_text(0, 9))],
+        [("--ar", _COEFFS_TEXT), ("--ma", _COEFFS_TEXT), ("--phi-low", _COEFFS_TEXT), ("--phi-high", _COEFFS_TEXT),
+         ("--threshold", _FLOAT_TEXT), ("--delay", _int_text(1, 4)), ("--sigma2", _POSITIVE_TEXT),
+         ("--burnin", _int_text(0, 20)), ("--dist", st.sampled_from(["gaussian", "t"])), ("--df", _POSITIVE_TEXT),
+         ("--output", st.just("{dir}/out"))],
+    ),
+    _command_argv(
+        "experiment", [("--config", st.just("{dir}/plan.ini")), ("--output", st.just("{dir}/exp"))],
+        [("--jobs", _int_text(1, 2))],
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV, series=_SERIES_TEXT, config=_config_text())
+# configparser's own errors: a repeated estimator name, and a "%" that its
+# interpolation would read.
+@example(["experiment", "--config", "{dir}/plan.ini", "--output", "{dir}/exp"], "", "[estimators]\na = ols\na = ols\n")
+@example(["experiment", "--config", "{dir}/plan.ini", "--output", "{dir}/exp"], "", "[truth]\nar = %\n[run]\n")
+def test_any_argv_exits_0_1_or_2_without_traceback(argv, series, config):
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, "y.txt").write_text(series)
+        Path(d, "plan.ini").write_text(config)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main([arg.replace("{dir}", d) for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

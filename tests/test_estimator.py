@@ -10,7 +10,6 @@ from armatch import (
     AcvfSeq,
     ArParams,
     ArmaSpec,
-    FitOptions,
     InsufficientLags,
     SingularDesign,
     SingularToeplitz,
@@ -292,10 +291,9 @@ class TestNewtonSolver:
         monkeypatch.setattr(
             estimator, "_newton_terms", lambda moments, m, S: (q.copy(), g.copy(), np.ones((3, 1, 1)))
         )
+        monkeypatch.setattr(estimator, "_MAX_ITER", 0)
         moments = (np.ones(2), np.zeros((2, 1)), np.ones((1, 1)))
-        s, q_best, ginf, iterations, converged = estimator.minimize(
-            moments, 2, np.zeros((3, 1)), FitOptions(max_iter=0)
-        )
+        s, q_best, ginf, iterations, converged = estimator.minimize(moments, 2, np.zeros((3, 1)))
         assert q_best == q[picked] and ginf == g[picked, 0] and iterations == 0
         assert converged == (g[picked, 0] < 1e-8)
 
@@ -304,21 +302,18 @@ class TestNewtonSolver:
 def test_grouped_minimize_equals_one_call_per_group(p, m):
     # Five series at scales 1e-100..1e100, their two start rows (OLS and
     # ideal-world) interleaved in one call, against one call per series.
-    opts = FitOptions()
     ys = [10.0 ** (100 * s - 100) * simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 200, 50 + s) for s in range(3)]
     ys += [simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), 200, 50 + s) for s in range(2)]
     moments = [_empirical_moments(y, lag_matrix(y, p), p, m) for y in ys]
-    starts = [np.concatenate([_phi_to_s(fit_ols(y, p).phi)[None], estimator._ideal_starts(y[None], p, m, opts)[1]])
+    starts = [np.concatenate([_phi_to_s(fit_ols(y, p).phi)[None], estimator._ideal_starts(y[None], p, m)[1]])
               for y in ys]
     assert all(len(st) == 2 for st in starts)
     rows = np.random.default_rng(0).permutation(sum(len(st) for st in starts))
     groups = np.repeat(np.arange(len(ys)), len(starts[0]))[rows]
     stacked = tuple(np.stack(x, axis=1) for x in zip(*moments))
-    S, q, ginf, iterations, converged = estimator.minimize(
-        stacked, m, np.concatenate(starts)[rows], opts, groups
-    )
+    S, q, ginf, iterations, converged = estimator.minimize(stacked, m, np.concatenate(starts)[rows], groups)
     for g, (mom, st) in enumerate(zip(moments, starts)):
-        one = estimator.minimize(mom, m, st, opts)
+        one = estimator.minimize(mom, m, st)
         assert q[g] == pytest.approx(one[1][0], rel=1e-12)
         assert converged[g] == one[4][0]
 
@@ -327,7 +322,7 @@ def _ols_row_only_q(y, p, m):
     """The empirical criterion where the solver ends from fit_match's OLS
     start row alone."""
     moments = _empirical_moments(y, lag_matrix(y, p), p, m)
-    s = estimator.minimize(moments, m, _phi_to_s(fit_ols(y, p).phi)[None], FitOptions())[0][0]
+    s = estimator.minimize(moments, m, _phi_to_s(fit_ols(y, p).phi)[None])[0][0]
     return empirical_q(y, ArParams(pacf_to_ar(np.tanh(s)), 1.0), m)
 
 
@@ -375,7 +370,7 @@ def test_ideal_starts_are_fit_ideal_under_the_sample_autocovariances(p, m):
     Y = np.array([simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 5),
                   simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, 6),
                   np.zeros(n), np.exp(-(((t - n / 2) / 20.0) ** 2))])
-    rows, S = estimator._ideal_starts(Y, p, m, FitOptions())
+    rows, S = estimator._ideal_starts(Y, p, m)
     want = []
     for i, y in enumerate(Y):
         try:
@@ -407,12 +402,12 @@ def test_singular_autocovariances_keep_the_ols_row_alone(m):
     Y = np.array([neighbour, np.zeros(80)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        fits = estimator._fit_match_stack(Y, 2, m, FitOptions())
+        fits = estimator._fit_match_stack(Y, 2, m)
         zero = fit_match(np.zeros(80), 2, 3)
     assert [fit.restarts for fit in fits] == [1, 0]
     assert fits[0].iterations > 0 and fits[1].converged
     assert zero.restarts == 0 and zero.converged and zero.q_value == 0.0
-    assert _same_fit(fits[1], estimator._fit_match_stack(Y[1:], 2, m, FitOptions())[0])
+    assert _same_fit(fits[1], estimator._fit_match_stack(Y[1:], 2, m)[0])
 
 
 def _same_fit(a, b):
@@ -436,14 +431,13 @@ def test_stacked_fit_equals_fit_match_bit_for_bit(kind, n):
         Y = np.array([simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, 100 + s) for s in range(4)])
     else:
         Y = np.array([simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 100 + s) for s in range(4)])
-    opts = FitOptions()
     for p in (1, 2, 3, 5, 8):
         for m in (2, 5, 10):
-            full = estimator._fit_match_stack(Y, p, m, opts)
+            full = estimator._fit_match_stack(Y, p, m)
             for y, fit in zip(Y, full):
                 assert _same_fit(fit, fit_match(y, p, m)), (p, m)
             for rows in ([1, 2], [3, 0], [2]):
-                for fit, g in zip(estimator._fit_match_stack(Y[rows], p, m, opts), rows):
+                for fit, g in zip(estimator._fit_match_stack(Y[rows], p, m), rows):
                     assert _same_fit(fit, full[g]), (p, m, rows)
 
 
@@ -474,7 +468,7 @@ def test_stacked_fit_is_fit_match_and_m1_gives_ols(kinds, seed, n, p, m):
     # leaves OLS too short, and every row runs the solver).
     assume(n >= p + m)
     Y = np.array([_mixed_series(kind, n, seed + i) for i, kind in enumerate(kinds)])
-    for y, fit in zip(Y, estimator._fit_match_stack(Y, p, m, FitOptions())):
+    for y, fit in zip(Y, estimator._fit_match_stack(Y, p, m)):
         assert _same_fit(fit, fit_match(y, p, m))
         if m > 1:
             continue
@@ -505,10 +499,10 @@ def test_stacked_fit_from_a_known_start_is_row_by_row(kinds, seed, n, p, m, radi
     assume(n >= p + m)
     Y = np.array([_mixed_series(kind, n, seed + i) for i, kind in enumerate(kinds)])
     start = pacf_to_ar(np.random.default_rng(seed).uniform(-radius, radius, p))
-    full = estimator._fit_stack(Y, lag_matrix(Y, p), m, FitOptions(), start=start)
+    full = estimator._fit_stack(Y, lag_matrix(Y, p), m, start=start)
     assert full[2].tolist() == [1] * len(Y)
     for g, y in enumerate(Y):
-        one = estimator._fit_stack(y[None], lag_matrix(y[None], p), m, FitOptions(), start=start)
+        one = estimator._fit_stack(y[None], lag_matrix(y[None], p), m, start=start)
         for a, b in zip(full, one):  # phi, iterations, restarts, converged, grad_inf
             assert a[g:g + 1].tobytes() == b.tobytes()
 
@@ -531,8 +525,8 @@ def test_stacked_ols_starts_equal_per_series_path(monkeypatch, p, n):
     calls = []
     real = estimator.minimize
     monkeypatch.setattr(estimator, "minimize", lambda *a: calls.append(a) or real(*a))
-    fits = estimator._fit_match_stack(Y, p, 1, FitOptions())
-    (_, _, starts, _, groups), = calls  # at m = 1 the ideal rows need no solve
+    fits = estimator._fit_match_stack(Y, p, 1)
+    (_, _, starts, groups), = calls  # at m = 1 the ideal rows need no solve
     solved = singular = projected = 0
     for y, fit in zip(Y, fits):
         try:

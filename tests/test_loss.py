@@ -57,6 +57,10 @@ class TestEmpiricalQ:
         with pytest.raises(TooShort) as exc:
             empirical_q(np.ones(4), ArParams([0.1, 0.2, 0.3], 1.0), 2)
         assert exc.value.min_n == 5
+        # Every criterion needs two values: the message states that minimum.
+        with pytest.raises(TooShort, match=r"\(need n >= 2\)$") as exc:
+            empirical_q(np.ones(1), ArParams([], 1.0), 1)
+        assert exc.value.min_n == 2
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)

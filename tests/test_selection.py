@@ -21,7 +21,6 @@ from armatch import (
     simulate_tar,
 )
 from armatch import estimator, parallel, selection
-from armatch.estimator import FitOptions
 from armatch.acvf import ArParams
 from armatch.loss import lag_matrix
 from armatch.seeding import mix_seed, rng_from, stream_integers
@@ -129,7 +128,7 @@ class TestBootstrapBias:
 
 def _order_tasks(y, p, m, B, seed):
     _, fit = log_loss(y, p, m)
-    return selection._bootstrap_tasks(y, fit, m, B, seed, None)
+    return selection._bootstrap_tasks(y, fit, m, B, seed)
 
 
 class TestBatchedBootstrap:
@@ -189,7 +188,7 @@ class TestBatchedBootstrap:
             return phi, ok
 
         monkeypatch.setattr(estimator, "_stacked_ols", one_fails)
-        monkeypatch.setattr(estimator, "minimize", lambda *a: solved.append(a[4].max() + 1) or real_minimize(*a))
+        monkeypatch.setattr(estimator, "minimize", lambda *a: solved.append(a[3].max() + 1) or real_minimize(*a))
         redone = _recording_oracle(monkeypatch)
         batched = selection._batched_diffs(tasks)
         assert redone == [] and solved == [1]
@@ -341,7 +340,7 @@ class TestMultistepBatch:
         Y, start, (phi, iterations, restarts, converged, grad_inf) = stacks[1]
         assert start is fitted
         for b, y_b in enumerate(Y):
-            one = estimator._fit_stack(y_b[None], lag_matrix(y_b[None], 2), 3, FitOptions(), start=start)
+            one = estimator._fit_stack(y_b[None], lag_matrix(y_b[None], 2), 3, start=start)
             assert phi[b].tobytes() == one[0][0].tobytes()
             assert (iterations[b], restarts[b], converged[b]) == (one[1][0], one[2][0], one[3][0])
             assert repr(float(grad_inf[b])) == repr(float(one[4][0]))
