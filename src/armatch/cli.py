@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -31,6 +32,10 @@ from .simulation import (
     simulate_arma,
     simulate_tar,
 )
+
+
+# The options whose value is a comma-separated coefficient list.
+_COEFF_FLAGS = ("--ar", "--ma", "--phi-low", "--phi-high")
 
 
 class UsageError(Exception):
@@ -193,11 +198,20 @@ def cmd_simulate(args):
     return 0
 
 
-def _required_int(section, key):
-    value = section.getint(key)
-    if value is None:
+def _number(kind, text, where):
+    """text read as kind (int or float), or a UsageError naming where."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{where}: expected {'an integer' if kind is int else 'a number'}, got {text!r}")
+
+
+def _config_number(section, key, kind=int, default=None):
+    """[section] key read as kind, or default where absent (required without one)."""
+    text = section.get(key)
+    if text is None and default is None:
         raise UsageError(f"config missing required key [{section.name}] {key}")
-    return value
+    return default if text is None else _number(kind, text, f"config [{section.name}] {key}")
 
 
 def _plan_from_config(path):
@@ -217,15 +231,15 @@ def _plan_from_config(path):
         truth = ArmaSpec(
             _parse_coeffs(truth_sec.get("ar", "")),
             _parse_coeffs(truth_sec.get("ma", "")),
-            truth_sec.getfloat("sigma2", 1.0),
+            _config_number(truth_sec, "sigma2", float, 1.0),
         )
     elif model == "tar":
         truth = TarSpec(
             _parse_coeffs(truth_sec.get("phi_low", "")),
             _parse_coeffs(truth_sec.get("phi_high", "")),
-            truth_sec.getfloat("threshold", 0.0),
-            truth_sec.getint("delay", 1),
-            truth_sec.getfloat("sigma2", 1.0),
+            _config_number(truth_sec, "threshold", float, 0.0),
+            _config_number(truth_sec, "delay", default=1),
+            _config_number(truth_sec, "sigma2", float, 1.0),
         )
     else:
         raise UsageError(f"unknown truth model {model!r}")
@@ -243,7 +257,7 @@ def _plan_from_config(path):
             if not eq or k not in keys or k in kv:
                 expected = " ".join(f"{key}={key.upper()}" for key in keys)
                 raise UsageError(f"estimator {name!r}: bad token {tok!r} (expected {expected}, each once)")
-            kv[k] = int(v)
+            kv[k] = _number(int, v, f"estimator {name!r}: {tok}")
         estimators.append(
             EstimatorSpec(name=name, kind=parts[0], p=kv.get("p", 1), m=kv.get("m", 1))
         )
@@ -251,18 +265,18 @@ def _plan_from_config(path):
     if "selection" in cp:
         sec = cp["selection"]
         selection = SelectionSettings(
-            p_max=_required_int(sec, "p_max"), m=sec.getint("m", 1), B=_required_int(sec, "b")
+            p_max=_config_number(sec, "p_max"), m=_config_number(sec, "m", default=1), B=_config_number(sec, "b")
         )
-    horizons = [int(h) for h in run_sec.get("horizons", "1").split(",")]
+    horizons = [_number(int, h, "config [run] horizons") for h in run_sec.get("horizons", "1").split(",")]
     return ExperimentPlan(
         truth=truth,
-        n=_required_int(run_sec, "n"),
-        replicates=_required_int(run_sec, "replicates"),
+        n=_config_number(run_sec, "n"),
+        replicates=_config_number(run_sec, "replicates"),
         estimators=tuple(estimators),
         eval_horizons=tuple(horizons),
-        base_seed=run_sec.getint("base_seed", 0),
+        base_seed=_config_number(run_sec, "base_seed", default=0),
         innovations=run_sec.get("innovations", "gaussian"),
-        t_df=run_sec.getfloat("t_df", 5.0),
+        t_df=_config_number(run_sec, "t_df", float, 5.0),
         selection=selection,
     )
 
@@ -313,10 +327,8 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="simulate a truth process")
     p_sim.add_argument("--model", choices=["arma", "tar"], required=True)
-    p_sim.add_argument("--ar", default="")
-    p_sim.add_argument("--ma", default="")
-    p_sim.add_argument("--phi-low", default="")
-    p_sim.add_argument("--phi-high", default="")
+    for flag in _COEFF_FLAGS:
+        p_sim.add_argument(flag, default="")
     p_sim.add_argument("--threshold", type=float, default=0.0)
     p_sim.add_argument("--delay", type=int, default=1)
     p_sim.add_argument("--sigma2", type=float, default=1.0)
@@ -336,9 +348,23 @@ def build_parser():
     return parser
 
 
+def _attach_coefficients(argv):
+    """argv with a coefficient list that starts with a minus sign attached to
+    its flag, or to an abbreviation of it ("--ar -0.5,0.3" -> "--ar=-0.5,0.3"):
+    argparse reads a value that starts with "-" and is not one plain number
+    as an option."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and any(f.startswith(flag) for f in _COEFF_FLAGS) and re.match(r"-[\d.]", arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_coefficients(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -253,14 +253,33 @@ def _stacked_ols(Y, X):
     return phi, ok
 
 
+def _ideal_solve(gamma, phi0, pacf, m):
+    """The ideal-world fit past m = 1 under each row of a stack gamma (G, K),
+    K >= p + m, from its Levinson solution phi0 (G, p) and partial
+    autocorrelations pacf (G, p): ``minimize``'s arrays (s, q, grad_inf,
+    iterations, converged), one group per row, all in one call.  A row
+    starts from its projected phi0 and, where that is root-scaled, from its
+    pacf as it is, clamped to |r| <= _R_MAX: under an AR(p) truth phi0 is
+    the minimizer at every m, which near the unit circle the solver can
+    fail to reach from radius _PROJECT_RADIUS."""
+    G, p = phi0.shape
+    start = _project_stationary(phi0)
+    starts, groups = _r_to_s(_step_down(start)[0]), np.arange(G)
+    scaled = (start != phi0).any(axis=1).nonzero()[0]
+    if scaled.size:  # the concatenations cost about 1% of a fit_ideal call
+        starts, groups = np.concatenate([starts, _r_to_s(pacf[scaled])]), np.concatenate([groups, scaled])
+    # A lone sequence's moments go in unstacked, as in _fit_stack.
+    return minimize(_population_moments(gamma if G > 1 else gamma[0], p, m), m, starts, groups)
+
+
 def _ideal_starts(Y, p, m):
     """(rows, S): for each series y of a stack Y (G, n), n >= p + m, the s
     of ``fit_ideal`` under its uncentered biased sample autocovariances
-    gamma_k = (1/n) sum_t y_t y_{t+k}, k < p + m (at m = 1 the projected
-    Levinson solution), and the indices of the series that get one: none
-    where gamma is singular (gamma_0 = 0, or the last Durbin variance at or
-    below SINGULARITY_FLOOR gamma_0, where ``levinson_solve`` raises).
-    Past m = 1 every row comes from one grouped ``minimize`` call."""
+    gamma_k = (1/n) sum_t y_t y_{t+k}, k < p + m (``_ideal_solve``; at
+    m = 1 the projected Levinson solution), and the indices of the series
+    that get one: none where gamma is singular (gamma_0 = 0, or the last
+    Durbin variance at or below SINGULARITY_FLOOR gamma_0, where
+    ``levinson_solve`` raises)."""
     n = Y.shape[1]
     gamma = np.stack([(Y[:, None, : n - k] @ Y[:, k:, None])[:, 0, 0] for k in range(p + m)], axis=1) / n
     levinson = [_durbin(g, p) if g[0] > 0.0 else None for g in gamma]
@@ -269,11 +288,8 @@ def _ideal_starts(Y, p, m):
     rows = np.array([i for i, d in enumerate(levinson) if d and d[2][-1] > floor[i]], dtype=int)
     if not rows.size:
         return rows, np.empty((0, p))
-    S = _phi_to_s(np.array([levinson[i][0] for i in rows]))
-    if m > 1:  # one series' moments go in unstacked, as in _fit_stack
-        moments = _population_moments(gamma[rows] if rows.size > 1 else gamma[rows[0]], p, m)
-        S = minimize(moments, m, S, np.arange(rows.size))[0]
-    return rows, S
+    phi0, pacf = (np.array([levinson[i][j] for i in rows]) for j in (0, 1))
+    return rows, _phi_to_s(phi0) if m == 1 else _ideal_solve(gamma[rows], phi0, pacf, m)[0]
 
 
 def _fit_stack(Y, X, m, start=None):
@@ -288,11 +304,12 @@ def _fit_stack(Y, X, m, start=None):
     Every other row is one group of one ``minimize`` call on the stacked
     empirical moments, from its projected OLS solution (zeros where OLS
     raises SingularDesign or TooShort) and a second start (``restarts``):
-    its ``_ideal_starts`` row if it has one, or, where the caller knows the
-    law the series came from, ``start`` (p,), that law's ideal-world fit,
-    projected as every start is, for every row.  The solver acts on each
-    row alone, so a fit does not depend on its stack.  A solved model that
-    fails the step-down is not converged.
+    its ``_ideal_starts`` row (``fit_ideal``'s fit, by its one rule, under
+    its sample autocovariances) if it has one, or, where the caller knows
+    the law the series came from, ``start`` (p,), that law's ideal-world
+    fit, projected as every start is, for every row.  The solver acts on
+    each row alone, so a fit does not depend on its stack.  A solved model
+    that fails the step-down is not converged.
     """
     G, n = Y.shape
     p = X.shape[-1]
@@ -376,17 +393,10 @@ def fit_ideal(truth, p, m):
     error gamma(0) - 2 phi'gamma_p + phi'Gamma_p phi, whose minimizer is the
     Levinson (Yule-Walker) solution and whose minimum is the recursion's
     last variance v[p], so both come from ``levinson_solve`` and no solver
-    runs.  Past m = 1 the solver starts from the Levinson solution, and
-    sigma2 is the m = 1 criterion at its result, which the step-up from
-    |r| < 1 keeps stationary.  Where that start is root-scaled (radius
-    _START_RADIUS or more), the Levinson partial autocorrelations as they
-    are, clamped to |r| <= _R_MAX, are a second start row of the same call:
-    under an AR(p) truth the Levinson solution minimizes the criterion at
-    every m, and near the unit circle the solver can fail to reach it from
-    radius _PROJECT_RADIUS.  ``fit_match``'s second start (``_ideal_starts``)
-    is this fit under the sample autocovariances with one difference: its
-    solve runs from the projected Levinson start alone, never from a second
-    row of unscaled partial autocorrelations.
+    runs.  Past m = 1 it is ``_ideal_solve`` under the truth's
+    autocovariances, and sigma2 is the m = 1 criterion at its result, which
+    the step-up from |r| < 1 keeps stationary.  ``fit_match``'s second
+    start (``_ideal_starts``) is this fit under the sample autocovariances.
     """
     _check_orders(p, m)
     if p == 0:
@@ -394,11 +404,7 @@ def fit_ideal(truth, p, m):
     phi0, pacf, v = levinson_solve(truth, p)
     if m == 1:
         return ArParams(phi0, v[p]), float(v[p])
-    start = _project_stationary(phi0)
-    starts = _r_to_s(_step_down(start[None])[0])
-    if not np.array_equal(start, phi0):  # root-scaled
-        starts = np.concatenate([starts, _r_to_s(pacf)[None]])
-    s, qstar, ginf, _, converged = (x[0] for x in minimize(_population_moments(truth.gamma, p, m), m, starts))
+    s, qstar, ginf, _, converged = (x[0] for x in _ideal_solve(truth.gamma[None], phi0[None], pacf[None], m))
     if not converged and ginf >= 1e-6 * max(truth.gamma[0], qstar):
         raise NoConvergence(f"ideal-world fit did not converge (grad inf-norm {ginf:.3e})")
     phi = pacf_to_ar(np.tanh(s))

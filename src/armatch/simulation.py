@@ -132,6 +132,8 @@ class ExperimentPlan:
             raise ValueError("eval_horizons must be nonempty positive integers")
         if self.innovations not in ("gaussian", "t"):
             raise ValueError("innovations must be 'gaussian' or 't'")
+        if self.selection is not None and any(e.name == "select_order" for e in self.estimators):
+            raise ValueError("estimator name 'select_order' is the selection rows' name")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "eval_horizons", tuple(int(h) for h in self.eval_horizons))
 
@@ -299,43 +301,15 @@ def _run_replicate(args, y=None, fits=None):
             model = fr.model
             converged = fr.converged
             m_fit = est.m
-        if gamma is not None:
-            if model.is_stationary:
-                score = population_q(gamma, model, est.p, m_eval)
-            else:
-                score = float("nan")
-        else:
+        if gamma is None:
             score = empirical_q(y_eval, model, m_eval)
-        rows.append(
-            {
-                "replicate": r,
-                "estimator": est.name,
-                "p": est.p,
-                "m": m_fit,
-                "score": score,
-                "converged": converged,
-                "chosen_p": "",
-            }
-        )
+        else:
+            score = population_q(gamma, model, est.p, m_eval) if model.is_stationary else float("nan")
+        rows.append(dict(zip(REPORT_COLUMNS, (r, est.name, est.p, m_fit, score, converged, ""))))
     if plan.selection is not None:
-        sel = select_order(
-            y,
-            plan.selection.p_max,
-            plan.selection.m,
-            plan.selection.B,
-            mix_seed(plan.base_seed, r),
-        )
-        rows.append(
-            {
-                "replicate": r,
-                "estimator": "select_order",
-                "p": plan.selection.p_max,
-                "m": plan.selection.m,
-                "score": float("nan"),
-                "converged": True,
-                "chosen_p": sel.chosen_p,
-            }
-        )
+        p_max, m = plan.selection.p_max, plan.selection.m
+        chosen = select_order(y, p_max, m, plan.selection.B, mix_seed(plan.base_seed, r)).chosen_p
+        rows.append(dict(zip(REPORT_COLUMNS, (r, "select_order", p_max, m, float("nan"), True, chosen))))
     return rows
 
 
@@ -348,7 +322,8 @@ def run_experiment(plan, jobs=1):
     The replicates run in contiguous blocks (see ``_run_block``) as equal
     as possible and at most _BLOCK long; ``jobs`` worker processes share
     the blocks, and a run of one block starts no pool.  The report does
-    not depend on ``jobs`` or on the blocks.
+    not depend on ``jobs`` or on the blocks: its rows come by replicate,
+    each replicate's in estimator order with its selection row last.
     """
     gamma = _truth_gamma(plan)
     count = -(-plan.replicates // _BLOCK)
@@ -367,7 +342,6 @@ def run_experiment(plan, jobs=1):
             f"{len(failures)}/{plan.replicates} replicates failed: "
             f"{failures[0]['error']}"
         )
-    rows.sort(key=lambda row: (row["replicate"], _est_index(plan, row["estimator"])))
     summary = _summarize(plan, rows, failures)
     return ExperimentReport(rows=tuple(rows), summary=summary)
 
@@ -411,13 +385,6 @@ def _run_block(args):
             for r, fit in zip(series, batch):
                 fits[r][p, m] = fit
     return [_run_replicate_safe((plan, r, gamma), series.get(r), fits.get(r)) for r in block]
-
-
-def _est_index(plan, name):
-    for i, est in enumerate(plan.estimators):
-        if est.name == name:
-            return i
-    return len(plan.estimators)
 
 
 def _summarize(plan, rows, failures):

@@ -260,6 +260,23 @@ class TestSimulate:
         assert code == 0
         assert len(out.read_text().splitlines()) == 10
 
+    @pytest.mark.parametrize("model, flag, value", [
+        ("arma", "--ar", "-0.5,0.3"),
+        ("arma", "--ma", "-0.5,0.3"),
+        ("tar", "--phi-low", "-0.5,0.3"),
+        ("tar", "--phi-high", "-.5,0.3"),
+        ("tar", "--phi-l", "-0.5,0.3"),
+    ])
+    def test_coefficient_list_starting_with_minus(self, tmp_path, model, flag, value):
+        # "--ar -0.5,0.3" and "--ar=-0.5,0.3" are the same list: argparse
+        # alone reads the first as a flag without its value.
+        outs = []
+        for args in ([flag, value], [f"{flag}={value}"]):
+            outs.append(tmp_path / f"{len(args)}.txt")
+            code = main(["simulate", "--model", model, *args, "--n", "5", "--seed", "1", "--output", str(outs[-1])])
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_unknown_model_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--model", "foo", "--n", "5", "--seed", "1"])
@@ -383,21 +400,32 @@ class TestExperiment:
         assert err.startswith(f"error: config missing required key {section} {key}\n")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value, message", [
-        pytest.param("match p=1 M=5", "bad token 'M=5'", id="M=5"),
-        pytest.param("match p=1 q=7", "bad token 'q=7'", id="q=7"),
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("multi_step = match p=1 M=5", "estimator 'multi_step': bad token 'M=5'", id="M=5"),
+        pytest.param("multi_step = match p=1 q=7", "estimator 'multi_step': bad token 'q=7'", id="q=7"),
         # ols takes p alone, and once.
-        pytest.param("ols p=2 m=3", "bad token 'm=3' (expected p=P, each once)", id="ols-m"),
-        pytest.param("ols p=1 p=2", "bad token 'p=2' (expected p=P, each once)", id="ols-p-twice"),
-        pytest.param("match p=1 m=3 m=2", "bad token 'm=2' (expected p=P m=M, each once)", id="match-m-twice"),
+        pytest.param("multi_step = ols p=2 m=3", "estimator 'multi_step': bad token 'm=3' (expected p=P, each once)",
+                     id="ols-m"),
+        pytest.param("multi_step = ols p=1 p=2", "estimator 'multi_step': bad token 'p=2' (expected p=P, each once)",
+                     id="ols-p-twice"),
+        pytest.param("multi_step = match p=1 m=3 m=2",
+                     "estimator 'multi_step': bad token 'm=2' (expected p=P m=M, each once)", id="match-m-twice"),
+        # A value that is not an integer names its estimator and token, or
+        # its section and key.
+        pytest.param("multi_step = match p=1.5 m=3", "estimator 'multi_step': p=1.5: expected an integer, got '1.5'",
+                     id="match-p-not-integer"),
+        pytest.param("n = 1.5", "config [run] n: expected an integer, got '1.5'", id="run-n-not-integer"),
     ])
-    def test_unknown_estimator_token_exit_2_without_traceback(self, tmp_path, capsys, value, message):
+    def test_unknown_estimator_token_exit_2_without_traceback(self, tmp_path, capsys, line, message):
+        # EXPERIMENT_CONFIG with the line of the same key replaced.
+        key = line.split(" = ")[0] + " = "
         cfg = tmp_path / "plan.ini"
-        cfg.write_text(EXPERIMENT_CONFIG.replace("multi_step = match p=1 m=3", f"multi_step = {value}"))
+        cfg.write_text("".join(line + "\n" if old.startswith(key) else old
+                               for old in EXPERIMENT_CONFIG.splitlines(keepends=True)))
         code = main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: estimator 'multi_step': {message}")
+        assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
     def test_diverging_tar_truth_exit_1_without_traceback(self, tmp_path, capsys):

@@ -34,8 +34,8 @@ from armatch import estimator
 from armatch.acvf import _pacf_to_ar_with_jac
 from armatch.companion import ar_spectral_radii
 from armatch.estimator import _phi_to_s
-from armatch.loss import _empirical_moments, _moments_q, ar_filter, lag_matrix
-from armatch.seeding import mix_seed
+from armatch.loss import _empirical_moments, _moments_q, _population_moments, ar_filter, lag_matrix
+from armatch.seeding import mix_seed, rng_from
 
 Y4 = np.array([1.0, 0.0, 2.0, 1.0])
 
@@ -364,26 +364,53 @@ def test_ideal_starts_are_fit_ideal_under_the_sample_autocovariances(p, m):
     # uncentered biased sample autocovariances, and that start is fit_ideal
     # under them (at m = 1 the projected Levinson solution).  A Gaussian
     # pulse (width 20, n = 400) has a last Durbin variance of 1.1e-11
-    # gamma_0 at p = 5 and 1.7e-13 gamma_0, below the floor, at p = 6.
+    # gamma_0 at p = 5 and 1.7e-13 gamma_0, below the floor, at p = 6.  A
+    # random walk's Levinson start is root-scaled, so its solve also starts
+    # from the unscaled partial autocorrelations, as fit_ideal's does: its
+    # start is fit_ideal's bit for bit, and not the solve from the projected
+    # row alone.
     n = 400
     t = np.arange(n)
     Y = np.array([simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), n, 5),
                   simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), n, 6),
-                  np.zeros(n), np.exp(-(((t - n / 2) / 20.0) ** 2))])
+                  np.zeros(n), np.exp(-(((t - n / 2) / 20.0) ** 2)),
+                  np.cumsum(rng_from(0).standard_normal(n))])
+    gamma = np.stack([(Y[:, None, : n - k] @ Y[:, k:, None])[:, 0, 0] for k in range(p + m)], axis=1) / n
     rows, S = estimator._ideal_starts(Y, p, m)
     want = []
-    for i, y in enumerate(Y):
+    for i, g in enumerate(gamma):
         try:
-            truth = AcvfSeq([y[: n - k] @ y[k:] / n for k in range(p + m)])
+            truth = AcvfSeq(g)
             phi0 = levinson_solve(truth, p)[0]
         except (ValueError, SingularToeplitz):
             continue
         want.append(i)
+        got = pacf_to_ar(np.tanh(S[len(want) - 1]))
+        expected = fit_ideal(truth, p, m)[0].phi if m > 1 else pacf_to_ar(np.tanh(_phi_to_s(phi0)))
         if i < 2:  # the pulse's start is ill-conditioned in gamma
-            got = pacf_to_ar(np.tanh(S[len(want) - 1]))
-            expected = fit_ideal(truth, p, m)[0].phi if m > 1 else pacf_to_ar(np.tanh(_phi_to_s(phi0)))
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-7)
-    assert rows.tolist() == want == [0, 1] + [3] * (p == 5)
+        elif i == 4:
+            assert not np.array_equal(estimator._project_stationary(phi0), phi0)
+            assert got.tobytes() == expected.tobytes()
+            if m > 1:
+                alone = estimator.minimize(_population_moments(g, p, m), m, _phi_to_s(phi0)[None])[0][0]
+                assert S[len(want) - 1].tobytes() != alone.tobytes()
+    assert rows.tolist() == want == [0, 1] + [3] * (p == 5) + [4]
+
+
+@pytest.mark.parametrize("m", [2, 5, 20])
+def test_fit_ideal_is_the_ideal_solve_on_one_row(m):
+    # Past m = 1 fit_ideal is _ideal_solve on its truth's one row, bit for
+    # bit, where the Levinson start is root-scaled (the AR(8) truth of
+    # test_ar_truth_near_the_unit_circle) and where it is not.
+    near = ar_acvf(ArParams(pacf_to_ar([0.343, 0.355, -0.89, -0.83, -0.632, -0.515, -0.534, -0.812]), 1.0), 8 + m)
+    for truth, p, scaled in [(near, 8, True), (TestFitIdeal._sweep_truths()[0], 4, False)]:
+        phi0, pacf, _ = levinson_solve(truth, p)
+        assert np.array_equal(estimator._project_stationary(phi0), phi0) != scaled
+        s, q = estimator._ideal_solve(truth.gamma[None], phi0[None], pacf[None], m)[:2]
+        model, qstar = fit_ideal(truth, p, m)
+        assert model.phi.tobytes() == pacf_to_ar(np.tanh(s[0])).tobytes()
+        assert qstar == q[0]
 
 
 def _explosive(n, seed):

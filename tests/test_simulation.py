@@ -406,6 +406,10 @@ class TestRunExperiment:
         report = run_experiment(plan)
         sel_rows = [r for r in report.rows if r["estimator"] == "select_order"]
         assert len(sel_rows) == 2
+        # By replicate, each in estimator order with its selection row last.
+        assert [(r["replicate"], r["estimator"]) for r in report.rows] == [
+            (k, name) for k in range(2) for name in ("match1", "ols1", "select_order")
+        ]
         assert all(isinstance(r["chosen_p"], int) for r in sel_rows)
         assert "selection" in report.summary
 
@@ -556,3 +560,6 @@ class TestRunExperiment:
             self._tiny_plan(eval_horizons=())
         with pytest.raises(ValueError):
             self._tiny_plan(innovations="cauchy")
+        # The selection rows are named select_order, so no estimator may be.
+        with pytest.raises(ValueError, match="'select_order'"):
+            self._tiny_plan(estimators=(EstimatorSpec("select_order", "ols", 1),), selection=SelectionSettings(2, 1, 5))
