@@ -95,7 +95,7 @@ class ArmaSpec:
             raise ValueError("ARMA coefficients must be finite")
         s2 = float(self.sigma2)
         if not np.isfinite(s2) or s2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+            raise ValueError("sigma2 must be finite and positive")
         object.__setattr__(self, "ar", ar)
         object.__setattr__(self, "ma", ma)
         object.__setattr__(self, "sigma2", s2)

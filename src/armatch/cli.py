@@ -95,14 +95,15 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def _parse_coeffs(text):
+def _parse_coeffs(text, where):
+    """Comma-separated coefficients, or a UsageError naming where."""
     text = (text or "").strip()
     if not text:
         return np.zeros(0)
     try:
         return np.array([float(x) for x in text.split(",")])
     except ValueError:
-        raise UsageError(f"cannot parse coefficient list {text!r}")
+        raise UsageError(f"{where}: cannot parse coefficient list {text!r}")
 
 
 def _center(y, flag):
@@ -181,13 +182,13 @@ def cmd_select(args):
 
 def cmd_simulate(args):
     if args.model == "arma":
-        spec = ArmaSpec(_parse_coeffs(args.ar), _parse_coeffs(args.ma), args.sigma2)
+        spec = ArmaSpec(_parse_coeffs(args.ar, "--ar"), _parse_coeffs(args.ma, "--ma"), args.sigma2)
         y = simulate_arma(spec, args.n, args.seed, burnin=args.burnin,
                           dist=args.dist, t_df=args.df)
     else:
         spec = TarSpec(
-            _parse_coeffs(args.phi_low),
-            _parse_coeffs(args.phi_high),
+            _parse_coeffs(args.phi_low, "--phi-low"),
+            _parse_coeffs(args.phi_high, "--phi-high"),
             args.threshold,
             args.delay,
             args.sigma2,
@@ -229,14 +230,14 @@ def _plan_from_config(path):
     model = truth_sec.get("model", "arma").strip().lower()
     if model == "arma":
         truth = ArmaSpec(
-            _parse_coeffs(truth_sec.get("ar", "")),
-            _parse_coeffs(truth_sec.get("ma", "")),
+            _parse_coeffs(truth_sec.get("ar", ""), "config [truth] ar"),
+            _parse_coeffs(truth_sec.get("ma", ""), "config [truth] ma"),
             _config_number(truth_sec, "sigma2", float, 1.0),
         )
     elif model == "tar":
         truth = TarSpec(
-            _parse_coeffs(truth_sec.get("phi_low", "")),
-            _parse_coeffs(truth_sec.get("phi_high", "")),
+            _parse_coeffs(truth_sec.get("phi_low", ""), "config [truth] phi_low"),
+            _parse_coeffs(truth_sec.get("phi_high", ""), "config [truth] phi_high"),
             _config_number(truth_sec, "threshold", float, 0.0),
             _config_number(truth_sec, "delay", default=1),
             _config_number(truth_sec, "sigma2", float, 1.0),

@@ -49,6 +49,12 @@ _H_STEP = 1e-6
 _MAX_ITER = 500
 _GRAD_TOL = 1e-8
 
+# Relative window within which ``minimize`` counts q values as tied.  The
+# moment form of q cancels terms far larger than q on fits near the unit
+# circle, and its rounding error reaches about 2e-12 relative there, so a
+# tighter window lets rounding pick an unconverged row over a converged one.
+_TIE_REL = 1e-9
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -179,7 +185,7 @@ def minimize(moments, m, starts, groups=None):
 
     Returns, per group, arrays (s, q, grad_inf, iterations, converged) of
     its row with the least q, preferring a converged row among those within
-    1e-12 relative of it; q and grad_inf are in the criterion's own scale,
+    _TIE_REL relative of it; q and grad_inf are in the criterion's own scale,
     iterations are summed over the group's rows.
     """
     R = starts.shape[0]
@@ -221,12 +227,12 @@ def minimize(moments, m, starts, groups=None):
         big = np.maximum(1.0, np.maximum.reduce(np.abs(S[act]), axis=1))
         floor |= np.maximum.reduce(np.abs(step), axis=1) <= 1e-12 * big
         running[act] = ~(converged[act] | floor)
-    # Rows within rounding of their group's least q tie; a converged one is
+    # Rows within _TIE_REL of their group's least q tie; a converged one is
     # preferred, then the least q, then the first row.
     n_groups = int(groups.max()) + 1
     qmin = np.full(n_groups, np.inf)
     np.minimum.at(qmin, groups, q)
-    best = converged & (q <= qmin[groups] + 1e-12 * np.abs(qmin[groups]))
+    best = converged & (q <= qmin[groups] + _TIE_REL * np.abs(qmin[groups]))
     order = np.lexsort((q, ~best, groups))
     pick = order[np.searchsorted(groups[order], np.arange(n_groups))]
     scale = np.broadcast_to(scale, (R,))[pick]

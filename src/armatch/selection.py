@@ -104,21 +104,22 @@ def _subsample_length(n, p, m):
     return max(-(-2 * n // 3), 2 * p + 1, m + p)
 
 
-def _bootstrap_replicate(args):
-    """One replicate's difference on its own (a fresh rng_from(seed, p, b),
+def _bootstrap_replicate(law, m, seed, b):
+    """Replicate b's difference on its own (a fresh rng_from(seed, p, b),
     one refit and ``population_q``): the per-replicate reference form of
     ``_batched_diffs``, which no library code calls.  The refit is
     ``fit_match`` at m = 1 or p = 0; past that it is the one-series stacked
     fit whose second start is the fitted model, as in the batch."""
-    model, resid_pool, gamma_hat, n, p, m, seed, b = args
+    model, resid_pool, gamma_hat, ell = law
+    p = model.order
     rng = rng_from(seed, p, b)
-    yb, eps = _simulate_fitted(model, resid_pool, n, rng)
+    yb, eps = _simulate_fitted(model, resid_pool, ell, rng)
     try:
         if m == 1 or p == 0:
             fb = fit_match(yb, p, m)
         else:
             fb = _fit_match_stack(yb[None], p, m, start=model.phi)[0]
-    except TooShort:  # cannot happen for matching n, defensive only
+    except TooShort:  # cannot happen for the law's length, defensive only
         return None
     if fb.q_value <= _DEGENERATE_FLOOR:
         return None
@@ -135,30 +136,31 @@ def _bootstrap_replicate(args):
     return lstar_b - (l_b - z_b)
 
 
-def _batched_diffs(tasks):
-    """The differences of ``_bootstrap_replicate`` for the tasks of one
-    order (they differ only in b), computed as one batch.
+def _batched_diffs(law, m, seed, bs):
+    """The differences of ``_bootstrap_replicate`` for replicates ``bs`` of
+    one order's bootstrap law, computed as one batch.
 
     Replicate b draws its innovations from the stream of
     rng_from(seed, p, b), as ``_simulate_fitted`` does, but the indices of
-    all B streams are drawn in one pass (``stream_integers``).  The B
-    series are filtered together and fitted by ``_fit_stack``: at m = 1
-    each gets the model ``fit_match`` gives it.  Past m = 1 the second
-    start of every refit is the fitted model, not an ideal-world solve
-    under the series' sample autocovariances: the bootstrap law is that
-    AR(p) model, and an AR(p) truth's own coefficients minimize the
-    population criterion at every m (its k-step best linear predictor uses
-    its last p values, and the AR recursion reproduces it).  The in-sample
-    criterion comes from the stacked residual kernel ``_q_impl`` and Q*
-    from the moments of gamma_hat.  A replicate reads None (skipped) where
-    its model fails the step-down (the predicate of ``population_q``), its
+    all streams are drawn in one pass (``stream_integers``).  The series
+    are filtered together and fitted by ``_fit_stack``: at m = 1 each gets
+    the model ``fit_match`` gives it.  Past m = 1 the second start of every
+    refit is the law's model, not an ideal-world solve under the series'
+    sample autocovariances: the bootstrap law is that AR(p) model, and an
+    AR(p) truth's own coefficients minimize the population criterion at
+    every m (its k-step best linear predictor uses its last p values, and
+    the AR recursion reproduces it).  The in-sample criterion comes from
+    the stacked residual kernel ``_q_impl`` and Q* from the moments of the
+    law's autocovariances.  A replicate reads None (skipped) where its
+    model fails the step-down (the predicate of ``population_q``), its
     in-sample criterion is at most _DEGENERATE_FLOOR, or its difference is
     not finite.
     """
-    model, pool, gamma_hat, ell, p, m, seed, _ = tasks[0]
+    model, pool, gamma_hat, ell = law
+    p = model.order
     burn = _BURNIN_BASE + p
     # Row b holds the indices _simulate_fitted's rng.choice draws.
-    eps = pool[stream_integers(seed, p, [task[7] for task in tasks], pool.shape[0], ell + burn)]
+    eps = pool[stream_integers(seed, p, bs, pool.shape[0], ell + burn)]
     tail = eps[:, burn + p:]
     tail_ms = np.einsum("ij,ij->i", tail, tail) / tail.shape[1]
     y = ar_filter(model.phi, eps)[:, burn:]
@@ -167,7 +169,7 @@ def _batched_diffs(tasks):
         phi = _fit_stack(y, X, m, start=model.phi if m > 1 else None)[0]
         qstar = _moments_q(*_population_moments(gamma_hat.gamma, p, m), phi, m, want_grad=False)[0]
     else:
-        phi, qstar = np.zeros((len(tasks), 0)), gamma_hat.gamma[0]
+        phi, qstar = np.zeros((len(bs), 0)), gamma_hat.gamma[0]
     q = _q_impl(y, X, phi, m, want_grad=False)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         diffs = np.log(qstar) - (np.log(q) - np.log(tail_ms))
@@ -183,30 +185,30 @@ def _control_variate_mean(resid_pool, n):
     return math.log(mu) - var / (2.0 * n * mu * mu)
 
 
-def _bootstrap_tasks(y, fit, m, B, seed):
-    """The replicate tasks b = 1..B of a fitted order (see
-    ``_bootstrap_replicate``)."""
+def _bootstrap_law(y, fit, m):
+    """The bootstrap law of a fitted order: (model, centered one-step
+    residual pool, the model's autocovariances to lag p + m, replica
+    length)."""
     p = fit.order
     resid = y[p:] - lag_matrix(y, p) @ fit.model.phi
     resid = resid - resid.mean()
     if float(resid @ resid) <= 0.0:
         raise DegenerateFit("residuals are identically zero; cannot bootstrap")
-    gamma_hat = ar_acvf(fit.model, p + m)
-    ell = _subsample_length(y.shape[0], p, m)
-    return [(fit.model, resid, gamma_hat, ell, p, m, seed, b) for b in range(1, B + 1)]
+    return fit.model, resid, ar_acvf(fit.model, p + m), _subsample_length(y.shape[0], p, m)
 
 
-def _penalty(tasks):
+def _penalty(law, m, B, seed):
     """(bias estimate, replicates used, its Monte-Carlo standard error) of
-    one order's tasks; at most 20% of the replicates may be degenerate."""
-    _, resid, gamma_hat, ell, p, m, *_ = tasks[0]
-    B = len(tasks)
+    replicates b = 1..B of one order's bootstrap law; at most 20% of them
+    may be degenerate."""
+    model, resid, gamma_hat, ell = law
+    p = model.order
     control = _control_variate_mean(resid, ell - p)
     if p == 0 and m == 1 and np.min(resid * resid) > _DEGENERATE_FLOOR:
         # Every difference is then log gamma_hat(0): q_b and the control
         # variate are the same mean square, and none can be degenerate.
         return math.log(gamma_hat.gamma[0]) - control, B, 0.0
-    used = np.array([d for d in _batched_diffs(tasks) if d is not None])
+    used = np.array([d for d in _batched_diffs(law, m, seed, range(1, B + 1)) if d is not None])
     skipped = B - used.shape[0]
     if skipped > 0.2 * B:
         raise BootstrapFailed(f"{skipped}/{B} bootstrap replicates degenerate")
@@ -225,30 +227,26 @@ def bootstrap_bias(series, p, m, B, seed):
     two thirds, see ``_subsample_length``), which conservatively inflates
     the penalty and is what makes the downstream order selection reliable.
     Replicate b uses the derived seed mix(seed, p, b); degenerate
-    replicates are skipped, at most 20% of them.  The B replicates run as
-    one vectorised batch in this process (``_batched_diffs``): the resample
-    indices drawn in one pass, then one stacked refit.  Past m = 1 each
-    refit starts from its series' OLS solution and from the fitted model,
-    which is the bootstrap world's own ideal-world fit.  At p = 0 and m = 1
-    every replicate difference is log gamma_hat(0), so no series is drawn.
+    replicates are skipped, at most 20% of them.  The B replicates of the
+    order's law (``_bootstrap_law``) run as one vectorised batch in this
+    process (``_batched_diffs``): the resample indices drawn in one pass,
+    then one stacked refit.  Past m = 1 each refit starts from its series'
+    OLS solution and from the fitted model, which is the bootstrap world's
+    own ideal-world fit.  At p = 0 and m = 1 every replicate difference is
+    log gamma_hat(0), so no series is drawn.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     y = _finite_series(series)
-    return _penalty(_bootstrap_tasks(y, fit_match(y, p, m), m, B, seed))[0]
-
-
-def _max_feasible_order(n, m):
-    # fit_match needs n >= m + p; the OLS start needs n >= 2p + 1.
-    feasible = min(n - m, (n - 1) // 2)
-    return max(feasible, -1)
+    return _penalty(_bootstrap_law(y, fit_match(y, p, m), m), m, B, seed)[0]
 
 
 def select_order(series, p_max, m, B, seed):
     """Choose the AR order minimizing L(p) + bootstrap optimism penalty.
 
-    Every order is fitted once, and that fit also seeds its bootstrap; then
-    each order's replicates run as one batch (see ``bootstrap_bias``).
+    One pass over the orders: each is fitted once, and its bootstrap law
+    is scored as one batch (see ``bootstrap_bias``) before the next order
+    is fitted, so a failing order ends the selection.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -256,24 +254,21 @@ def select_order(series, p_max, m, B, seed):
         raise ValueError("B must be >= 1")
     y = _finite_series(series)
     n = y.shape[0]
-    feasible = _max_feasible_order(n, m)
+    # fit_match needs n >= m + p; the OLS start needs n >= 2p + 1.
+    feasible = max(min(n - m, (n - 1) // 2), -1)
     if feasible < p_max:
         raise TooShort(
             f"series of length {n} supports p_max <= {feasible} at m={m}, "
             f"got p_max={p_max}",
             max_feasible_order=feasible,
         )
-    fits, task_lists = [], []
+    rows = []
     for p in range(p_max + 1):
         L, fit = log_loss(y, p, m)
-        fits.append((L, fit))
-        task_lists.append(_bootstrap_tasks(y, fit, m, B, seed))
-    rows = []
-    for (L, fit), tasks in zip(fits, task_lists):
-        bias, used, se = _penalty(tasks)
+        bias, used, se = _penalty(_bootstrap_law(y, fit, m), m, B, seed)
         rows.append(
             OrderRow(
-                order=fit.order,
+                order=p,
                 log_loss=L,
                 bias_estimate=bias,
                 criterion=L + bias,

@@ -80,7 +80,7 @@ class TarSpec:
         _check_count("delay", self.delay, 1)
         s2 = float(self.sigma2)
         if not np.isfinite(s2) or s2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+            raise ValueError("sigma2 must be finite and positive")
         object.__setattr__(self, "phi_low", lo)
         object.__setattr__(self, "phi_high", hi)
         object.__setattr__(self, "sigma2", s2)

@@ -290,8 +290,8 @@ class TestSimulate:
     @pytest.mark.parametrize("option, value, message", [
         pytest.param("--phi-low", "nan", "TAR coefficients must be finite", id="nan"),
         pytest.param("--phi-low", "nan,0.1", "TAR coefficients must be finite", id="nan,0.1"),
-        pytest.param("--sigma2", "nan", "sigma2 must be positive", id="sigma2-nan"),
-        pytest.param("--sigma2", "inf", "sigma2 must be positive", id="sigma2-inf"),
+        pytest.param("--sigma2", "nan", "sigma2 must be finite and positive", id="sigma2-nan"),
+        pytest.param("--sigma2", "inf", "sigma2 must be finite and positive", id="sigma2-inf"),
         pytest.param("--threshold", "nan", "threshold must be finite", id="threshold-nan"),
     ])
     def test_non_finite_tar_coefficients_exit_2(self, tmp_path, capsys, option, value, message):
@@ -304,10 +304,19 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_bad_coefficient_list_exit_2(self, tmp_path):
-        code = main(["simulate", "--model", "arma", "--ar", "0.5;0.2",
-                     "--n", "5", "--seed", "1", "--output", str(tmp_path / "x")])
-        assert code == 2
+    def test_bad_coefficient_list_exit_2(self, tmp_path, capsys):
+        # The message names the flag the list came from.
+        for model, flag in [(["arma", "--ar", "0.5"], "--ar"), (["arma", "--ar", "0.5"], "--ma"),
+                            (["tar", "--phi-low", "0.5", "--phi-high", "-0.3"], "--phi-low"),
+                            (["tar", "--phi-low", "0.5", "--phi-high", "-0.3"], "--phi-high")]:
+            out = tmp_path / "x"
+            code = main(["simulate", "--model", *model, flag, "0.8;0.1", "--n", "5", "--seed", "1",
+                         "--output", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(f"error: {flag}: cannot parse coefficient list '0.8;0.1'\n")
+            assert "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("model", [["arma", "--ar", "0.5"],
                                        ["tar", "--phi-low", "0.5", "--phi-high", "-0.3"]])
@@ -415,6 +424,9 @@ class TestExperiment:
         pytest.param("multi_step = match p=1.5 m=3", "estimator 'multi_step': p=1.5: expected an integer, got '1.5'",
                      id="match-p-not-integer"),
         pytest.param("n = 1.5", "config [run] n: expected an integer, got '1.5'", id="run-n-not-integer"),
+        pytest.param("ar = 0.8;0.1", "config [truth] ar: cannot parse coefficient list '0.8;0.1'",
+                     id="truth-ar-not-a-list"),
+        pytest.param("sigma2 = inf", "sigma2 must be finite and positive", id="truth-sigma2-inf"),
     ])
     def test_unknown_estimator_token_exit_2_without_traceback(self, tmp_path, capsys, line, message):
         # EXPERIMENT_CONFIG with the line of the same key replaced.

@@ -5,6 +5,7 @@ import pytest
 
 from armatch import (
     ArmaSpec,
+    BootstrapFailed,
     DegenerateFit,
     TarSpec,
     TooShort,
@@ -22,6 +23,7 @@ from armatch import (
 )
 from armatch import estimator, parallel, selection
 from armatch.acvf import ArParams
+from armatch.cli import main
 from armatch.loss import lag_matrix
 from armatch.seeding import mix_seed, rng_from, stream_integers
 
@@ -126,9 +128,19 @@ class TestBootstrapBias:
             bootstrap_bias(np.ones(50) + np.arange(50) % 2, 1, 1, 0, seed=1)
 
 
-def _order_tasks(y, p, m, B, seed):
+def _order_law(y, p, m):
     _, fit = log_loss(y, p, m)
-    return selection._bootstrap_tasks(y, fit, m, B, seed)
+    return selection._bootstrap_law(y, fit, m)
+
+
+def _batch(law, m, B, seed):
+    """The batch's differences for replicates b = 1..B."""
+    return selection._batched_diffs(law, m, seed, range(1, B + 1))
+
+
+def _oracle(law, m, B, seed):
+    """The oracle's differences for replicates b = 1..B, one at a time."""
+    return [selection._bootstrap_replicate(law, m, seed, b) for b in range(1, B + 1)]
 
 
 class TestBatchedBootstrap:
@@ -138,9 +150,9 @@ class TestBatchedBootstrap:
     @pytest.mark.parametrize("p", range(7))
     def test_equals_per_replicate(self, spec, p):
         y = simulate_arma(spec, 300, 60 + p)
-        tasks = _order_tasks(y, p, 1, 40, seed=13)
-        batched = selection._batched_diffs(tasks)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        law = _order_law(y, p, 1)
+        batched = _batch(law, 1, 40, seed=13)
+        oracle = _oracle(law, 1, 40, seed=13)
         assert [d is None for d in batched] == [d is None for d in oracle]
         kept = [(a, b) for a, b in zip(batched, oracle) if b is not None]
         # The differences are differences of logs of O(1) criteria, so they
@@ -149,16 +161,16 @@ class TestBatchedBootstrap:
 
     def test_failed_stationarity_check_skips_the_replicate(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 71)
-        tasks = _order_tasks(y, 2, 1, 10, seed=3)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        assert selection._penalty(tasks)[1] == 10
-        _skips_one_replicate(monkeypatch, tasks, oracle, 4, rtol=1e-12, atol=1e-14)
+        law = _order_law(y, 2, 1)
+        oracle = _oracle(law, 1, 10, seed=3)
+        assert selection._penalty(law, 1, 10, seed=3)[1] == 10
+        _skips_one_replicate(monkeypatch, law, 1, oracle, 4, rtol=1e-12, atol=1e-14)
 
     def test_degenerate_criterion_skips_the_replicate(self, monkeypatch):
         # An in-sample criterion of 1e-300 or less has a finite log, yet the
         # replicate reads None.
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 71)
-        tasks = _order_tasks(y, 2, 1, 10, seed=3)
+        law = _order_law(y, 2, 1)
         real = selection._q_impl
 
         def one_degenerate(*args, **kwargs):
@@ -168,7 +180,7 @@ class TestBatchedBootstrap:
 
         monkeypatch.setattr(selection, "_q_impl", one_degenerate)
         monkeypatch.setattr(selection, "_bootstrap_replicate", None)
-        batched = selection._batched_diffs(tasks)
+        batched = _batch(law, 1, 10, seed=3)
         assert batched[2] is None and all(d is not None for i, d in enumerate(batched) if i != 2)
 
     def test_failed_gram_check_runs_the_solver(self, monkeypatch):
@@ -177,8 +189,8 @@ class TestBatchedBootstrap:
         # fit_match fits such a series; at m = 1 the solver ends at the OLS
         # minimizer, so its difference is the oracle's within tolerance.
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 74)
-        tasks = _order_tasks(y, 2, 1, 10, seed=3)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        law = _order_law(y, 2, 1)
+        oracle = _oracle(law, 1, 10, seed=3)
         real, real_minimize = estimator._stacked_ols, estimator.minimize
         solved = []
 
@@ -190,7 +202,7 @@ class TestBatchedBootstrap:
         monkeypatch.setattr(estimator, "_stacked_ols", one_fails)
         monkeypatch.setattr(estimator, "minimize", lambda *a: solved.append(a[3].max() + 1) or real_minimize(*a))
         redone = _recording_oracle(monkeypatch)
-        batched = selection._batched_diffs(tasks)
+        batched = _batch(law, 1, 10, seed=3)
         assert redone == [] and solved == [1]
         assert batched[6] == pytest.approx(oracle[6], abs=1e-7)
         np.testing.assert_allclose(batched[:6] + batched[7:], oracle[:6] + oracle[7:], rtol=1e-12, atol=1e-14)
@@ -240,7 +252,7 @@ class TestBatchedBootstrap:
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 72)
         res = select_order(y, 2, 1, 30, seed=4)
         for row in res.rows:
-            d = np.array([selection._bootstrap_replicate(t) for t in _order_tasks(y, row.order, 1, 30, 4)])
+            d = np.array(_oracle(_order_law(y, row.order, 1), 1, 30, seed=4))
             assert row.bias_se == pytest.approx(np.std(d, ddof=1) / math.sqrt(30), rel=1e-9)
 
     def test_single_replicate_has_no_se(self):
@@ -248,10 +260,11 @@ class TestBatchedBootstrap:
         assert math.isnan(select_order(y, 1, 1, 1, seed=4).rows[1].bias_se)
 
 
-def _skips_one_replicate(monkeypatch, tasks, oracle, row, **tol):
-    """Make the batch's step-down reject replicate ``row``: it reads None,
-    the order's replicates used drop by one, no replicate is redone by
-    ``_bootstrap_replicate``, and the others keep the oracle's values."""
+def _skips_one_replicate(monkeypatch, law, m, oracle, row, **tol):
+    """Make the batch's step-down reject replicate ``row`` of b = 1..B
+    (B = len(oracle), seed 3): it reads None, the order's replicates used
+    drop by one, no replicate is redone by ``_bootstrap_replicate``, and the
+    others keep the oracle's values."""
     real = selection._step_down
     calls = []
 
@@ -261,13 +274,14 @@ def _skips_one_replicate(monkeypatch, tasks, oracle, row, **tol):
         calls.append(c)
         return r, ok
 
-    used = selection._penalty(tasks)[1]
+    B = len(oracle)
+    used = selection._penalty(law, m, B, seed=3)[1]
     monkeypatch.setattr(selection, "_step_down", one_fails)
     monkeypatch.setattr(selection, "_bootstrap_replicate", None)
-    batched = selection._batched_diffs(tasks)
+    batched = _batch(law, m, B, seed=3)
     assert calls == [1.0] and batched[row] is None
-    assert selection._penalty(tasks)[1] == used - 1
-    rest = [i for i in range(len(tasks)) if i != row]
+    assert selection._penalty(law, m, B, seed=3)[1] == used - 1
+    rest = [i for i in range(B) if i != row]
     np.testing.assert_allclose([batched[i] for i in rest], [oracle[i] for i in rest], **tol)
 
 
@@ -276,9 +290,9 @@ def _recording_oracle(monkeypatch):
     oracle = selection._bootstrap_replicate
     redone = []
 
-    def replicate(task):
-        redone.append(task[7])
-        return oracle(task)
+    def replicate(law, m, seed, b):
+        redone.append(b)
+        return oracle(law, m, seed, b)
 
     monkeypatch.setattr(selection, "_bootstrap_replicate", replicate)
     return redone
@@ -295,9 +309,9 @@ class TestMultistepBatch:
             y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 90 + p)
         else:
             y = simulate_tar(TarSpec([0.6, -0.3], [-0.5], 0.0, 1, 1.0), 300, 90 + p)
-        tasks = _order_tasks(y, p, m, 12, seed=17)
-        batched = selection._batched_diffs(tasks)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        law = _order_law(y, p, m)
+        batched = _batch(law, m, 12, seed=17)
+        oracle = _oracle(law, m, 12, seed=17)
         assert [d is None for d in batched] == [d is None for d in oracle]
         kept = [(a, b) for a, b in zip(batched, oracle) if b is not None]
         # The batch's moments differ from the oracle's by rounding, so both
@@ -310,8 +324,8 @@ class TestMultistepBatch:
         # bit for bit, including a replicate whose OLS design fails the Gram
         # check: it starts from zeros inside the batch, as it does alone.
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
-        tasks = _order_tasks(y, 2, 3, 10, seed=3)
-        fitted = tasks[0][0].phi
+        law = _order_law(y, 2, 3)
+        fitted = law[0].phi
         stacks = []
         real_stack = selection._fit_stack
 
@@ -320,7 +334,7 @@ class TestMultistepBatch:
             return stacks[-1][2]
 
         monkeypatch.setattr(selection, "_fit_stack", recording)
-        selection._batched_diffs(tasks)
+        _batch(law, 3, 10, seed=3)
         singular = stacks[0][0][6, :3]
         real_ols = estimator._stacked_ols
         failed = []
@@ -335,7 +349,7 @@ class TestMultistepBatch:
 
         monkeypatch.setattr(estimator, "_stacked_ols", singular_row)
         redone = _recording_oracle(monkeypatch)
-        batched = selection._batched_diffs(tasks)
+        batched = _batch(law, 3, 10, seed=3)
         assert redone == [] and np.all(np.isfinite(batched))
         Y, start, (phi, iterations, restarts, converged, grad_inf) = stacks[1]
         assert start is fitted
@@ -353,8 +367,8 @@ class TestMultistepBatch:
         # no replicate runs _ideal_starts, and each order's refits are one
         # minimize call.
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 74)
-        tasks = _order_tasks(y, 3, 5, 12, seed=3)
-        want = selection._batched_diffs(tasks)
+        law = _order_law(y, 3, 5)
+        want = _batch(law, 5, 12, seed=3)
 
         def no_ideal_starts(*args):
             raise AssertionError("_ideal_starts ran")
@@ -363,15 +377,15 @@ class TestMultistepBatch:
         real_minimize = estimator.minimize
         monkeypatch.setattr(estimator, "_ideal_starts", no_ideal_starts)
         monkeypatch.setattr(estimator, "minimize", lambda *a: calls.append(a[2].shape) or real_minimize(*a))
-        assert selection._batched_diffs(tasks) == want
+        assert _batch(law, 5, 12, seed=3) == want
         assert calls == [(24, 3)]  # the OLS and the known start of all 12 replicates
 
     def test_projected_start_stays_in_batch(self, monkeypatch):
         # Near a unit root many bootstrap OLS starts have radius 0.99 or
         # more; fit_match projects them, and so does the batch.
         y = simulate_arma(ArmaSpec([0.995], [], 1.0), 300, 79)
-        tasks = _order_tasks(y, 1, 3, 12, seed=3)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        law = _order_law(y, 1, 3)
+        oracle = _oracle(law, 3, 12, seed=3)
         real = estimator._project_stationary
         projected = []
 
@@ -382,16 +396,16 @@ class TestMultistepBatch:
 
         monkeypatch.setattr(estimator, "_project_stationary", recording)
         redone = _recording_oracle(monkeypatch)
-        batched = selection._batched_diffs(tasks)
+        batched = _batch(law, 3, 12, seed=3)
         assert redone == [] and sum(projected) >= 2
         np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-7)
 
     def test_failed_stationarity_check_skips_the_replicate(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 300, 75)
-        tasks = _order_tasks(y, 3, 4, 10, seed=3)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
-        assert selection._penalty(tasks)[1] == 10
-        _skips_one_replicate(monkeypatch, tasks, oracle, 4, rtol=0, atol=1e-7)
+        law = _order_law(y, 3, 4)
+        oracle = _oracle(law, 4, 10, seed=3)
+        assert selection._penalty(law, 4, 10, seed=3)[1] == 10
+        _skips_one_replicate(monkeypatch, law, 4, oracle, 4, rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("y, m", [
@@ -412,42 +426,42 @@ class TestOrderZeroPenalty:
 
     def test_closed_form_equals_replicate_mean(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 76)
-        tasks = _order_tasks(y, 0, 1, 40, seed=6)
-        diffs = [selection._bootstrap_replicate(t) for t in tasks]
-        control = selection._control_variate_mean(tasks[0][1], tasks[0][3])
+        law = _order_law(y, 0, 1)
+        diffs = _oracle(law, 1, 40, seed=6)
+        control = selection._control_variate_mean(law[1], law[3])
         monkeypatch.setattr(selection, "_batched_diffs", None)  # no draws
-        bias, used, se = selection._penalty(tasks)
+        bias, used, se = selection._penalty(law, 1, 40, seed=6)
         assert used == 40 and se == 0.0
         assert abs(bias - (np.mean(diffs) - control)) <= 1e-15
 
     def test_degenerate_pool_keeps_the_draws(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 77)
-        tasks = _order_tasks(y, 0, 1, 20, seed=6)
-        pool = tasks[0][1].copy()
+        law = _order_law(y, 0, 1)
+        pool = law[1].copy()
         pool[0] = 0.0  # a draw of this residual alone would be degenerate
-        tasks = [(t[0], pool, *t[2:]) for t in tasks]
+        law = (law[0], pool, *law[2:])
         real = selection._batched_diffs
         batches = []
 
-        def recording(ts):
-            batches.append(len(ts))
-            return real(ts)
+        def recording(law, m, seed, bs):
+            batches.append(len(bs))
+            return real(law, m, seed, bs)
 
         monkeypatch.setattr(selection, "_batched_diffs", recording)
-        bias, used, se = selection._penalty(tasks)
-        diffs = [selection._bootstrap_replicate(t) for t in tasks]
-        control = selection._control_variate_mean(pool, tasks[0][3])
+        bias, used, se = selection._penalty(law, 1, 20, seed=6)
+        diffs = _oracle(law, 1, 20, seed=6)
+        control = selection._control_variate_mean(pool, law[3])
         assert batches == [20] and used == 20
         assert bias == pytest.approx(np.mean(diffs) - control, abs=1e-14)
 
     def test_multistep_needs_no_solver(self, monkeypatch):
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 200, 78)
-        tasks = _order_tasks(y, 0, 4, 15, seed=6)
-        oracle = [selection._bootstrap_replicate(t) for t in tasks]
+        law = _order_law(y, 0, 4)
+        oracle = _oracle(law, 4, 15, seed=6)
         monkeypatch.setattr(selection, "_fit_stack", None)
         monkeypatch.setattr(estimator, "minimize", None)
         monkeypatch.setattr(selection, "_bootstrap_replicate", None)
-        np.testing.assert_allclose(selection._batched_diffs(tasks), oracle, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_batch(law, 4, 15, seed=6), oracle, rtol=0, atol=1e-14)
 
 
 class TestSelectOrder:
@@ -465,14 +479,13 @@ class TestSelectOrder:
             select_order(np.ones(10), 8, 3, 5, seed=1)
         assert exc.value.max_feasible_order == 4
 
-    def test_deterministic_across_jobs(self):
+    def test_deterministic(self):
         y = simulate_arma(ArmaSpec([0.6], [], 1.0), 150, 41)
         a = select_order(y, 2, 1, 10, seed=8)
         b = select_order(y, 2, 1, 10, seed=8)
         assert a == b
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_pool_equals_per_order_bootstrap(self, jobs):
+    def test_rows_equal_bootstrap_bias(self):
         y = simulate_arma(ArmaSpec([0.8], [-0.5], 1.0), 120, 42)
         res = select_order(y, 2, 3, 6, seed=11)
         for row in res.rows:
@@ -491,6 +504,32 @@ class TestSelectOrder:
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 300, 43)
         select_order(y, 4, 1, 20, seed=2)
         assert calls == [0, 1, 2, 3, 4]
+
+    def test_a_failing_order_ends_the_pass(self, monkeypatch, tmp_path, capsys):
+        # Each order is fitted and scored before the next is fitted: order
+        # 1's replicates all read None, so order 2 is never fitted.  At
+        # m = 1 order 0 takes the closed form and draws nothing.
+        calls = []
+        real = selection.fit_match
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_match", counting)
+        monkeypatch.setattr(selection, "_batched_diffs", lambda *args: [None] * 20)
+        y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 200, 44)
+        with pytest.raises(BootstrapFailed, match="20/20 bootstrap replicates degenerate"):
+            select_order(y, 3, 1, 20, seed=2)
+        assert calls == [0, 1]
+        series = tmp_path / "y.txt"
+        series.write_text("".join(repr(float(v)) + "\n" for v in y))
+        code = main(["select", "--input", str(series), "--max-order", "3", "--steps", "1",
+                     "--bootstrap", "20", "--seed", "2", "--output", str(tmp_path / "sel.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "sel.json").exists()
 
     def test_recovers_strong_ar2(self):
         y = simulate_arma(ArmaSpec([0.75, -0.5], [], 1.0), 500, 55)

@@ -75,6 +75,17 @@ class TestSimulateArma:
         with pytest.raises(NonStationary):
             simulate_arma(ArmaSpec([1.1], [], 1.0), 10, 1)
 
+    @pytest.mark.parametrize("ar, ma, sigma2, message", [
+        pytest.param([np.nan], [], 1.0, "ARMA coefficients must be finite", id="ar-nan"),
+        pytest.param([0.5], [np.inf], 1.0, "ARMA coefficients must be finite", id="ma-inf"),
+        pytest.param([0.5], [], 0.0, "sigma2 must be finite and positive", id="sigma2-zero"),
+        pytest.param([0.5], [], np.nan, "sigma2 must be finite and positive", id="sigma2-nan"),
+        pytest.param([0.5], [], np.inf, "sigma2 must be finite and positive", id="sigma2-inf"),
+    ])
+    def test_invalid_spec_rejected(self, ar, ma, sigma2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ArmaSpec(ar, ma, sigma2)
+
     def test_lag1_autocovariance(self):
         y = simulate_arma(ArmaSpec([0.5], [], 1.0), 50_000, 19)
         g1 = float(np.mean(y[1:] * y[:-1]))
@@ -174,8 +185,8 @@ class TestSimulateTar:
         # non-finite sigma2 once diverged inside the simulator.
         pytest.param([0.5], [-0.3], np.nan, 1.0, "threshold must be finite", id="threshold-nan"),
         pytest.param([0.5], [-0.3], np.inf, 1.0, "threshold must be finite", id="threshold-inf"),
-        pytest.param([0.5], [-0.3], 0.0, np.nan, "sigma2 must be positive", id="sigma2-nan"),
-        pytest.param([0.5], [-0.3], 0.0, np.inf, "sigma2 must be positive", id="sigma2-inf"),
+        pytest.param([0.5], [-0.3], 0.0, np.nan, "sigma2 must be finite and positive", id="sigma2-nan"),
+        pytest.param([0.5], [-0.3], 0.0, np.inf, "sigma2 must be finite and positive", id="sigma2-inf"),
     ])
     def test_non_finite_coefficients_rejected(self, lo, hi, threshold, sigma2, message):
         # Finiteness is checked first: a radius test alone reads a NaN
